@@ -35,19 +35,22 @@ def matrix_to_csv(matrix: DistanceMatrix) -> str:
 
 
 def export_matrix(matrix: DistanceMatrix, path: Path | str) -> None:
-    """Write the distance CSV; approximate pairs go to a sibling flags file."""
+    """Write the distance CSV; approximate pairs go to a sibling flags file,
+    which is removed when no pair is approximate."""
     path = Path(path)
     path.write_text(matrix_to_csv(matrix), encoding="utf-8")
-    if matrix.approx.any():
-        flags = Path(str(path.with_suffix("")) + "_approx.csv")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id_a", "id_b"])
-        for i in range(len(matrix)):
-            for j in range(i + 1, len(matrix)):
-                if matrix.approx[i, j]:
-                    writer.writerow([matrix.ids[i], matrix.ids[j]])
-        flags.write_text(buf.getvalue(), encoding="utf-8")
+    flags = Path(str(path.with_suffix("")) + "_approx.csv")
+    if not matrix.approx.any():
+        flags.unlink(missing_ok=True)
+        return
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id_a", "id_b"])
+    for i in range(len(matrix)):
+        for j in range(i + 1, len(matrix)):
+            if matrix.approx[i, j]:
+                writer.writerow([matrix.ids[i], matrix.ids[j]])
+    flags.write_text(buf.getvalue(), encoding="utf-8")
 
 
 def load_matrix(path: Path | str, measure: str = "loaded") -> DistanceMatrix:

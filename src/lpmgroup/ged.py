@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .measures import DEFAULT_GED_BUDGET, _ordered, place_gain
 from .petri import LocalProcessModel
@@ -99,6 +98,8 @@ class _GedSearch:
         usually a far tighter upper bound than rebuilding everything."""
         if self.n_a == 0 or self.n_b == 0:
             return
+        from scipy.optimize import linear_sum_assignment  # deferred, see optimal_assignment
+
         size = self.n_a + self.n_b
         big = np.full((size, size), 1e6)
         big[: self.n_a, : self.n_b] = self.ns

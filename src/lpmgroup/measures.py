@@ -12,7 +12,6 @@ from enum import Enum
 from typing import AbstractSet, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .petri import (
     DEFAULT_BOUND,
@@ -91,6 +90,10 @@ def optimal_assignment(gains: np.ndarray | Sequence[Sequence[float]]) -> Assignm
         raise ValueError("gain matrix entries must be finite")
     if matrix.min() < 0.0 or matrix.max() > 1.0:
         raise ValueError("gain matrix entries must lie in [0, 1]")
+    # Imported here, not at module level: scipy takes longer to import than
+    # the rest of the package, and only node, full and ged solve assignments.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(matrix, maximize=True)
     order = np.argsort(rows)
     pairs = tuple((int(rows[k]), int(cols[k])) for k in order)

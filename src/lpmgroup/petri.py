@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
+from operator import add
 from typing import Iterable, Mapping
 
 # Label of silent transitions. Activity names are non-empty strings, so the
@@ -166,20 +168,6 @@ class Marking:
     def total(self) -> int:
         return sum(c for _, c in self.counts)
 
-    def covers(self, places: Iterable[str]) -> bool:
-        """True if every listed place holds at least one token."""
-        return all(self.get(p) >= 1 for p in places)
-
-    def consume_produce(self, consume: Iterable[str], produce: Iterable[str]) -> "Marking":
-        counts = dict(self.counts)
-        for p in consume:
-            counts[p] = counts.get(p, 0) - 1
-            if counts[p] < 0:
-                raise ValueError(f"cannot consume token from empty place {p!r}")
-        for p in produce:
-            counts[p] = counts.get(p, 0) + 1
-        return Marking(counts)
-
     def __bool__(self) -> bool:
         return bool(self.counts)
 
@@ -261,6 +249,64 @@ def unrestricted_transitions(net: LabeledPetriNet) -> frozenset[str]:
     return frozenset(t for t in net.transitions if not net.preset(t))
 
 
+class _FiringRule:
+    """The firing rule of one net, compiled to integer state.
+
+    A marking is a tuple of token counts indexed like ``places`` (sorted
+    place ids); the places already fed by unrestricted transitions are a
+    bitmask over the same index. Transitions are indexed in sorted id order.
+    ``extra_places`` widens the index to places that a marking names but the
+    net lacks; their counts never change.
+    """
+
+    def __init__(self, net: LabeledPetriNet, extra_places: Iterable[str] = ()):
+        self.places = tuple(sorted(net.places | frozenset(extra_places)))
+        self.transitions = tuple(sorted(net.transitions))
+        index = {p: i for i, p in enumerate(self.places)}
+        free = unrestricted_transitions(net)
+        self._pre = tuple(tuple(index[p] for p in net.preset(t)) for t in self.transitions)
+        deltas = []
+        for t in self.transitions:
+            delta = [0] * len(self.places)
+            for p in net.preset(t):
+                delta[index[p]] -= 1
+            for p in net.postset(t):
+                delta[index[p]] += 1
+            deltas.append(tuple(delta))
+        self._delta = tuple(deltas)
+        self._free_mask = tuple(
+            self.mask(net.postset(t)) if t in free else 0 for t in self.transitions
+        )
+
+    def mask(self, places: Iterable[str]) -> int:
+        places = frozenset(places)
+        return sum(1 << i for i, p in enumerate(self.places) if p in places)
+
+    def unmask(self, mask: int) -> frozenset[str]:
+        return frozenset(p for i, p in enumerate(self.places) if mask >> i & 1)
+
+    def encode(self, marking: Marking) -> tuple[int, ...]:
+        counts = marking.as_dict()
+        return tuple(counts.get(p, 0) for p in self.places)
+
+    def decode(self, counts: tuple[int, ...]) -> Marking:
+        return Marking(dict(zip(self.places, counts)))
+
+    def enabled(self, counts: tuple[int, ...], used: int) -> list[int]:
+        """Indices of the transitions that may fire, in sorted id order: the
+        preset is marked and, for an unrestricted transition, no postset
+        place is in ``used`` (see ``enabled``)."""
+        get = counts.__getitem__
+        free_mask = self._free_mask
+        return [
+            k for k, pre in enumerate(self._pre) if all(map(get, pre)) and not free_mask[k] & used
+        ]
+
+    def fire(self, counts: tuple[int, ...], used: int, k: int) -> tuple[tuple[int, ...], int]:
+        """Successor state after firing the enabled transition ``k``."""
+        return tuple(map(add, counts, self._delta[k])), used | self._free_mask[k]
+
+
 def enabled(
     net: LabeledPetriNet,
     marking: Marking,
@@ -273,15 +319,9 @@ def enabled(
     already received a token from an unrestricted transition earlier in the
     run (``used_free_places``): every place accepts at most one free token.
     """
-    free = unrestricted_transitions(net)
-    out = set()
-    for t in net.transitions:
-        if not marking.covers(net.preset(t)):
-            continue
-        if t in free and net.postset(t) & used_free_places:
-            continue
-        out.add(t)
-    return frozenset(out)
+    rule = _FiringRule(net, marking.places() | used_free_places)
+    ready = rule.enabled(rule.encode(marking), rule.mask(used_free_places))
+    return frozenset(rule.transitions[k] for k in ready)
 
 
 def fire(
@@ -295,12 +335,13 @@ def fire(
     Firing a transition that is not enabled is a contract violation and
     raises ``ValueError``.
     """
-    if transition not in enabled(net, marking, used_free_places):
+    rule = _FiringRule(net, marking.places() | used_free_places)
+    counts, used = rule.encode(marking), rule.mask(used_free_places)
+    ready = [rule.transitions[k] for k in rule.enabled(counts, used)]
+    if transition not in ready:
         raise ValueError(f"transition {transition!r} is not enabled in {marking!r}")
-    new_marking = marking.consume_produce(net.preset(transition), net.postset(transition))
-    if not net.preset(transition):
-        used_free_places = used_free_places | net.postset(transition)
-    return new_marking, used_free_places
+    new_counts, new_used = rule.fire(counts, used, rule.transitions.index(transition))
+    return rule.decode(new_counts), rule.unmask(new_used)
 
 
 @dataclass(frozen=True)
@@ -335,37 +376,32 @@ def valid_complete_firing_sequences(
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    net = lpm.net
-    order = sorted(net.transitions)
-    free = unrestricted_transitions(net)
-    pre = {t: net.preset(t) for t in order}
-    post = {t: net.postset(t) for t in order}
-    complete: set[FiringSequence] = set()
+    rule = _FiringRule(lpm.net, lpm.initial.places() | lpm.final.places())
+    enabled_in, fire_in = rule.enabled, rule.fire
+    final = rule.encode(lpm.final)
+    complete: set[tuple[int, ...]] = set()
     truncated = False
     explored = 0
-    frontier: deque[tuple[Marking, frozenset[str], FiringSequence]] = deque(
-        [(lpm.initial, frozenset(), ())]
+    frontier: deque[tuple[tuple[int, ...], int, tuple[int, ...]]] = deque(
+        [(rule.encode(lpm.initial), 0, ())]
     )
     while frontier and not truncated:
-        marking, used, seq = frontier.popleft()
+        counts, used, seq = frontier.popleft()
         if len(seq) >= bound:
             continue
-        for t in order:
-            if not marking.covers(pre[t]):
-                continue
-            if t in free and post[t] & used:
-                continue
+        for k in enabled_in(counts, used):
             if explored >= cap:
                 truncated = True
                 break
             explored += 1
-            new_marking = marking.consume_produce(pre[t], post[t])
-            new_used = used | post[t] if t in free else used
-            new_seq = seq + (t,)
-            if new_marking == lpm.final:
+            new_counts, new_used = fire_in(counts, used, k)
+            new_seq = seq + (k,)
+            if new_counts == final:
                 complete.add(new_seq)
-            frontier.append((new_marking, new_used, new_seq))
-    return EnumerationResult(frozenset(complete), bound, truncated)
+            frontier.append((new_counts, new_used, new_seq))
+    name = rule.transitions.__getitem__
+    sequences = frozenset(tuple(map(name, seq)) for seq in complete)
+    return EnumerationResult(sequences, bound, truncated)
 
 
 def bounded_language(
@@ -386,7 +422,5 @@ def ef_relation(language: BoundedLanguage) -> EFRelation:
     """Ordered label pairs (a, b) with a strictly before b in some trace."""
     pairs: set[tuple[str, str]] = set()
     for trace in language.traces:
-        for i in range(len(trace)):
-            for j in range(i + 1, len(trace)):
-                pairs.add((trace[i], trace[j]))
+        pairs.update(combinations(trace, 2))
     return frozenset(pairs)

@@ -45,19 +45,23 @@ def _name_text(element: ET.Element) -> str:
     return SILENT
 
 
+def _token_count(raw: str, where: str) -> int:
+    try:
+        count = int(raw.strip())
+    except ValueError as exc:
+        raise PnmlError(f"bad token count {raw!r} in {where}") from exc
+    if count < 0:
+        raise PnmlError(f"negative token count in {where}")
+    return count
+
+
 def _marking_count(element: ET.Element, wrapper: str) -> int:
     for child in element:
         if _local(child.tag) == wrapper:
             text = _first(child, "text")
             if text is None or text.text is None:
                 raise PnmlError(f"{wrapper} without a token count in {element.get('id')!r}")
-            try:
-                count = int(text.text.strip())
-            except ValueError as exc:
-                raise PnmlError(f"bad token count {text.text!r} in {element.get('id')!r}") from exc
-            if count < 0:
-                raise PnmlError(f"negative token count in {element.get('id')!r}")
-            return count
+            return _token_count(text.text, repr(element.get("id")))
     return 0
 
 
@@ -116,7 +120,9 @@ def parse_pnml(data: bytes | str) -> tuple[LabeledPetriNet, Marking, Marking]:
                 if pid not in places:
                     raise PnmlError(f"final marking references unknown place {pid!r}")
                 text = _first(ref, "text")
-                count = int(text.text.strip()) if text is not None and text.text else 0
+                if text is None or not text.text:
+                    continue
+                count = _token_count(text.text, f"final marking of {pid!r}")
                 if count:
                     final_counts[pid] = count
 
@@ -133,15 +139,26 @@ def parse_pnml(data: bytes | str) -> tuple[LabeledPetriNet, Marking, Marking]:
 def parse_pnml_file(path: Path | str) -> tuple[LabeledPetriNet, Marking, Marking]:
     """Parse a PNML file, consulting the final-marking sidecar if needed."""
     path = Path(path)
-    net, initial, final = parse_pnml(path.read_bytes())
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise PnmlError(f"cannot read {path}: {exc}") from exc
+    net, initial, final = parse_pnml(data)
     if not final:
         sidecar = path.with_suffix(".finalmarking.json")
         if sidecar.exists():
-            counts = json.loads(sidecar.read_text(encoding="utf-8"))
+            try:
+                counts = json.loads(sidecar.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+                raise PnmlError(f"cannot read sidecar {sidecar.name}: {exc}") from exc
+            if not isinstance(counts, dict):
+                raise PnmlError(f"sidecar {sidecar.name} must be a JSON object of place counts")
             unknown = set(counts) - net.places
             if unknown:
                 raise PnmlError(f"sidecar references unknown places: {sorted(unknown)}")
-            final = Marking({p: int(c) for p, c in counts.items()})
+            final = Marking(
+                {p: _token_count(str(c), f"sidecar place {p!r}") for p, c in counts.items()}
+            )
     return net, initial, final
 
 

@@ -1,15 +1,19 @@
 """Brute-force reference implementations, independent of the library code.
 
 These recompute the combinatorial kernels from their definitions: plain
-generate-and-test firing-sequence enumeration, permutation search for the
-assignment problem, the textbook recursive edit distance, and an
+generate-and-test firing-sequence enumeration, a marking-object
+breadth-first enumeration that models the prefix cap, permutation search
+for the assignment problem, the textbook recursive edit distance, and an
 exhaustive node-mapping minimum for the graph edit distance.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations
+
+from lpmgroup import Marking
 
 
 def _marking_of(marking) -> dict[str, int]:
@@ -55,6 +59,56 @@ def oracle_sequences(lpm, bound: int) -> set[tuple[str, ...]]:
 
     extend((), _marking_of(lpm.initial))
     return found
+
+
+def _covers(marking, places) -> bool:
+    return all(marking.get(p) >= 1 for p in places)
+
+
+def _consume_produce(marking, consume, produce):
+    counts = dict(marking.counts)
+    for p in consume:
+        counts[p] = counts.get(p, 0) - 1
+        if counts[p] < 0:
+            raise ValueError(f"cannot consume token from empty place {p!r}")
+    for p in produce:
+        counts[p] = counts.get(p, 0) + 1
+    return Marking(counts)
+
+
+def oracle_bfs_sequences(lpm, bound: int, cap: int) -> tuple[frozenset[tuple[str, ...]], bool]:
+    """Breadth-first enumeration on ``Marking`` objects, cut after ``cap``
+    explored prefixes: the reference for which sequences a truncated
+    enumeration still reports. Returns (sequences, truncated)."""
+    net = lpm.net
+    order = sorted(net.transitions)
+    free = frozenset(t for t in order if not net.preset(t))
+    pre = {t: net.preset(t) for t in order}
+    post = {t: net.postset(t) for t in order}
+    complete: set[tuple[str, ...]] = set()
+    truncated = False
+    explored = 0
+    frontier = deque([(lpm.initial, frozenset(), ())])
+    while frontier and not truncated:
+        marking, used, seq = frontier.popleft()
+        if len(seq) >= bound:
+            continue
+        for t in order:
+            if not _covers(marking, pre[t]):
+                continue
+            if t in free and post[t] & used:
+                continue
+            if explored >= cap:
+                truncated = True
+                break
+            explored += 1
+            new_marking = _consume_produce(marking, pre[t], post[t])
+            new_used = used | post[t] if t in free else used
+            new_seq = seq + (t,)
+            if new_marking == lpm.final:
+                complete.add(new_seq)
+            frontier.append((new_marking, new_used, new_seq))
+    return frozenset(complete), truncated
 
 
 def oracle_assignment(gains) -> float:

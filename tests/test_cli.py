@@ -1,7 +1,14 @@
 """Command-line surface: subcommands, flags, exit codes, pipeline equivalence."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import lpmgroup
 from lpmgroup import write_pnml
 from lpmgroup.cli import main
 from genmodels import chain_lpm, planted_groups, with_isolated_transition
@@ -41,6 +48,26 @@ class TestValidate:
         manifest = write_manifest(tmp_path, [chain_lpm("good", ["a"]), bad])
         assert main(["validate", "--manifest", str(manifest)]) == 1
         assert "invalid bad_iso" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sidecar", ["{not json", '{"p0": -1}', '{"p0": "x"}', "5"])
+    def test_malformed_sidecar_exits_one(self, tmp_path, capsys, sidecar):
+        manifest = write_manifest(tmp_path, [chain_lpm("m1", ["a", "b"])])
+        (tmp_path / "m1.finalmarking.json").write_text(sidecar, encoding="utf-8")
+        assert main(["validate", "--manifest", str(manifest)]) == 1
+        assert "sidecar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["two", "-1"])
+    def test_malformed_final_marking_exits_one(self, tmp_path, capsys, count):
+        manifest = write_manifest(tmp_path, [chain_lpm("m1", ["a", "b"])])
+        pnml = tmp_path / "m1.pnml"
+        text = pnml.read_text(encoding="utf-8").replace(
+            "</net>",
+            f'<finalmarkings><marking><place idref="p0"><text>{count}</text></place>'
+            "</marking></finalmarkings></net>",
+        )
+        pnml.write_text(text, encoding="utf-8")
+        assert main(["validate", "--manifest", str(manifest)]) == 1
+        assert "token count" in capsys.readouterr().err
 
     def test_missing_manifest_exits_one(self, tmp_path, capsys):
         assert main(["validate", "--manifest", str(tmp_path / "nope.json")]) == 1
@@ -176,3 +203,24 @@ class TestErrors:
         manifest = identical_manifest(tmp_path)
         assert main(["matrix", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
         assert "no measure" in capsys.readouterr().err
+
+
+def test_validate_and_efg_cluster_do_not_import_scipy(tmp_path):
+    # scipy is loaded only by the measures that solve an assignment (node,
+    # full, ged); a module-level import anywhere else would bring its import
+    # time back into every command.
+    manifest = varied_manifest(tmp_path)
+    script = f"""
+import sys
+from lpmgroup.cli import main
+assert main(["validate", "--manifest", {str(manifest)!r}]) == 0
+assert main(["cluster", "--manifest", {str(manifest)!r}, "--measure", "efg", "--bound", "4",
+             "--out", {str(tmp_path / "out")!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(lpmgroup.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "[]"

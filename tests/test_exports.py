@@ -52,6 +52,14 @@ class TestMatrixExport:
         assert flags.exists()
         assert flags.read_text(encoding="utf-8").splitlines()[1] == "a,b"
 
+    def test_reexport_without_approx_pairs_removes_stale_flags(self, tmp_path):
+        values = np.array([[0.0, 0.5], [0.5, 0.0]])
+        approx = np.array([[False, True], [True, False]])
+        path = tmp_path / "matrix.csv"
+        export_matrix(DistanceMatrix(ids=("a", "b"), values=values, measure="efg", approx=approx), path)
+        export_matrix(DistanceMatrix(ids=("a", "b"), values=values, measure="efg"), path)
+        assert not (tmp_path / "matrix_approx.csv").exists()
+
 
 class TestClusterExport:
     def test_row_count_and_flags(self, tmp_path):

@@ -19,7 +19,7 @@ from lpmgroup import (
     validate_lpm,
 )
 from genmodels import chain_lpm, random_lpm, with_isolated_transition, without_place_outputs
-from oracles import oracle_sequences
+from oracles import oracle_bfs_sequences, oracle_sequences
 
 EMPTY = Marking()
 
@@ -36,6 +36,17 @@ def two_parallel_chains() -> LocalProcessModel:
         labels={t: t.upper() for t in "abcd"},
     )
     return LocalProcessModel(id="two", net=net, initial=EMPTY, final=EMPTY)
+
+
+def self_loop_star(loops: int) -> LocalProcessModel:
+    """t0 -> p0 -> exit, with ``loops`` self-loop transitions on p0: the
+    language grows exponentially in the bound."""
+    ts = ["t0"] + [f"t{k + 1}" for k in range(loops + 1)]
+    arcs = [("t0", "p0"), ("p0", ts[-1])]
+    for t in ts[1:-1]:
+        arcs += [("p0", t), (t, "p0")]
+    net = LabeledPetriNet(places={"p0"}, transitions=ts, arcs=arcs, labels={t: t.upper() for t in ts})
+    return LocalProcessModel(id=f"star{loops}", net=net, initial=EMPTY, final=EMPTY)
 
 
 class TestNetConstruction:
@@ -182,6 +193,23 @@ class TestEnumeration:
         lpm = two_parallel_chains()
         result = valid_complete_firing_sequences(lpm, 4, cap=3)
         assert result.truncated
+
+    def test_cap_boundary_matches_bfs_oracle(self):
+        rng = random.Random(7007)
+        models = [self_loop_star(4)]
+        models += [
+            random_lpm(rng, f"m{k}", max_transitions=6, max_places=4, token_prob=0.3)
+            for k in range(20)
+        ]
+        # a final marking naming a place the net lacks is never reached
+        stray = models[1]
+        models.append(LocalProcessModel("stray", stray.net, stray.initial, Marking(["zz"])))
+        for lpm in models:
+            for cap in (1, 2, 7, 100, 1000):
+                for bound in range(1, 11):
+                    got = valid_complete_firing_sequences(lpm, bound, cap)
+                    sequences, truncated = oracle_bfs_sequences(lpm, bound, cap)
+                    assert (got.sequences, got.truncated) == (sequences, truncated), (lpm.id, cap, bound)
 
     def test_matches_generate_and_test_oracle(self):
         rng = random.Random(99)

@@ -135,3 +135,36 @@ class TestSidecar:
         (tmp_path / "model.finalmarking.json").write_text(json.dumps({"zz": 1}), encoding="utf-8")
         with pytest.raises(PnmlError, match="zz"):
             parse_pnml_file(path)
+
+
+class TestInputErrors:
+    """Every malformed input surfaces as PnmlError, never a bare ValueError."""
+
+    @pytest.mark.parametrize("count", ["x", "1.5", "-1"])
+    def test_bad_final_marking_count(self, count):
+        doc = TWO_TRANSITION_NET.replace("<text>2</text>", f"<text>{count}</text>")
+        with pytest.raises(PnmlError, match="token count"):
+            parse_pnml(doc)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"{not json", b'{"p1": -1}', b'{"p1": "x"}', b'{"p1": [1]}', b"5", b"null", b"\xff\xfe"],
+    )
+    def test_bad_sidecar(self, tmp_path, content):
+        path = tmp_path / "model.pnml"
+        path.write_text(TWO_TRANSITION_NET.replace("<text>2</text>", "<text>0</text>"), encoding="utf-8")
+        (tmp_path / "model.finalmarking.json").write_bytes(content)
+        with pytest.raises(PnmlError, match="sidecar"):
+            parse_pnml_file(path)
+
+    def test_unreadable_sidecar(self, tmp_path):
+        path = tmp_path / "model.pnml"
+        path.write_text(TWO_TRANSITION_NET.replace("<text>2</text>", "<text>0</text>"), encoding="utf-8")
+        (tmp_path / "model.finalmarking.json").mkdir()
+        with pytest.raises(PnmlError, match="sidecar"):
+            parse_pnml_file(path)
+
+    def test_unreadable_model_file(self, tmp_path):
+        (tmp_path / "model.pnml").mkdir()
+        with pytest.raises(PnmlError, match="cannot read"):
+            parse_pnml_file(tmp_path / "model.pnml")
