@@ -47,24 +47,18 @@ from .exports import (
 )
 from .ged import GedResult, ged_raw, ged_similarity
 from .manifest import LoadedModels, Manifest, ManifestEntry, ManifestError, load_manifest, read_manifest
-from .matrix import DistanceMatrix, MatrixParams, distance_matrix
+from .matrix import DistanceMatrix, MatrixParams, distance, distance_matrix, similarity
 from .measures import (
     DEFAULT_GED_BUDGET,
     DEFAULT_LANG_CAP,
     Assignment,
     Measure,
     dice,
-    distance,
     levenshtein,
     normalized_levenshtein,
     optimal_assignment,
     place_gain,
-    sim_efg,
-    sim_full,
-    sim_ged,
     sim_node,
-    sim_transition,
-    similarity,
 )
 from .petri import (
     DEFAULT_BOUND,

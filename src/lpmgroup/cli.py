@@ -23,7 +23,7 @@ from .analysis import (
 from .clustering import representatives, sweep
 from .exports import export_clusters, export_dot, export_matrix, export_reports, load_matrix
 from .manifest import ManifestError, load_manifest
-from .matrix import DistanceMatrix, MatrixParams, distance_matrix
+from .matrix import MEASURES, DistanceMatrix, MatrixParams, distance_matrix
 from .measures import DEFAULT_GED_BUDGET, DEFAULT_LANG_CAP, Measure
 from .petri import DEFAULT_BOUND, DEFAULT_ENUM_CAP
 
@@ -122,24 +122,20 @@ def _resolve_measure(args, manifest) -> Measure:
 
 
 def _resolve_params(args, manifest, measure: Measure) -> MatrixParams:
-    notices = []
-    if args.bound is not None and measure not in (Measure.EFG, Measure.FULL):
-        notices.append(f"--bound has no effect for measure {measure.value}; ignored")
-    if args.lang_cap is not None and measure is not Measure.FULL:
-        notices.append(f"--lang-cap has no effect for measure {measure.value}; ignored")
-    if args.enum_cap is not None and measure not in (Measure.EFG, Measure.FULL):
-        notices.append(f"--enum-cap has no effect for measure {measure.value}; ignored")
-    if args.ged_budget is not None and measure is not Measure.GED:
-        notices.append(f"--ged-budget has no effect for measure {measure.value}; ignored")
-    for notice in notices:
-        print(f"notice: {notice}", file=sys.stderr)
-    return MatrixParams(
-        bound=args.bound if args.bound is not None else (manifest.bound or DEFAULT_BOUND),
-        lang_cap=args.lang_cap if args.lang_cap is not None else DEFAULT_LANG_CAP,
-        enum_cap=args.enum_cap if args.enum_cap is not None else DEFAULT_ENUM_CAP,
-        ged_budget=args.ged_budget if args.ged_budget is not None else DEFAULT_GED_BUDGET,
-        workers=max(1, args.workers),
-    )
+    for name in ("bound", "lang_cap", "enum_cap", "ged_budget"):
+        if getattr(args, name) is not None and name not in MEASURES[measure].reads:
+            flag = "--" + name.replace("_", "-")
+            print(f"notice: {flag} has no effect for measure {measure.value}; ignored", file=sys.stderr)
+    try:
+        return MatrixParams(
+            bound=args.bound if args.bound is not None else (manifest.bound or DEFAULT_BOUND),
+            lang_cap=args.lang_cap if args.lang_cap is not None else DEFAULT_LANG_CAP,
+            enum_cap=args.enum_cap if args.enum_cap is not None else DEFAULT_ENUM_CAP,
+            ged_budget=args.ged_budget if args.ged_budget is not None else DEFAULT_GED_BUDGET,
+            workers=max(1, args.workers),
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _load(args):
@@ -226,7 +222,10 @@ def _cmd_cluster(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.matrix:
-        matrix = load_matrix(args.matrix, measure=measure.value)
+        try:
+            matrix = load_matrix(args.matrix, measure=measure.value)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot load matrix: {exc}") from None
         if set(matrix.ids) != {m.id for m in loaded.ranked.models}:
             raise CliError("cached matrix ids do not match the manifest")
     else:

@@ -25,11 +25,8 @@ ClusterSet = tuple[frozenset[str], ...]
 @dataclass(frozen=True)
 class ClusteringParams:
     threshold: float
-    linkage: str = "complete"
 
     def __post_init__(self):
-        if self.linkage != "complete":
-            raise ValueError(f"unsupported linkage {self.linkage!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
 

@@ -1,15 +1,18 @@
 """Pairwise distance matrices over a model set, one measure at a time.
 
-Pair values are computed from per-model features extracted once up front;
-pairs can be fanned out to a process pool, and the assembled matrix is
-identical regardless of worker count or scheduling.
+``MEASURES`` is the one dispatch over the five measures: per measure, a
+``featurize`` step run once per model, a ``compare`` step run per pair, and
+the ``MatrixParams`` fields the two read. ``similarity``/``distance`` (one
+pair), ``distance_matrix`` (all pairs, optionally on a process pool) and
+the CLI's parameter notices all read this table. Matrices are identical
+regardless of worker count or scheduling.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +44,11 @@ class MatrixParams:
     enum_cap: int = DEFAULT_ENUM_CAP
     ged_budget: int = DEFAULT_GED_BUDGET
     workers: int = 1
+
+    def __post_init__(self):
+        for name in ("bound", "lang_cap", "enum_cap", "ged_budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,54 +113,92 @@ class DistanceMatrix:
         )
 
 
-def _extract_features(
-    models: Sequence[LocalProcessModel], measure: Measure, params: MatrixParams
-) -> list[tuple[object, bool]]:
-    if measure is Measure.TRANSITION:
-        return [(m.net.activity_labels(), False) for m in models]
-    if measure is Measure.EFG:
-        features = []
-        for m in models:
-            lang = bounded_language(m, params.bound, params.enum_cap)
-            features.append((ef_relation(lang), lang.truncated))
-        return features
-    if measure is Measure.FULL:
-        features = []
-        for m in models:
-            lang = bounded_language(m, params.bound, params.enum_cap)
-            traces, capped = capped_traces(lang, params.lang_cap)
-            features.append((traces, lang.truncated or capped))
-        return features
-    return [(m, False) for m in models]  # node and ged work on the models
+@dataclass(frozen=True)
+class MeasureSpec:
+    """How one measure turns models into features and feature pairs into a similarity.
+
+    Both steps also return an approximation flag; a pair is approximate when
+    either feature or the comparison is.
+    """
+
+    featurize: Callable[[LocalProcessModel, MatrixParams], tuple[object, bool]]
+    compare: Callable[[object, object, MatrixParams], tuple[float, bool]]
+    reads: tuple[str, ...]  # the MatrixParams fields the measure depends on
 
 
-def _pair_value(
-    measure: Measure,
-    feature_a: tuple[object, bool],
-    feature_b: tuple[object, bool],
-    params: MatrixParams,
-) -> tuple[float, bool]:
-    fa, approx_a = feature_a
-    fb, approx_b = feature_b
-    if measure is Measure.TRANSITION:
-        return 1.0 - dice(fa, fb), False
-    if measure is Measure.NODE:
-        return 1.0 - sim_node(fa, fb), False
-    if measure is Measure.EFG:
-        return 1.0 - dice(fa, fb), approx_a or approx_b
-    if measure is Measure.FULL:
-        return 1.0 - _full_from_traces(fa, fb), approx_a or approx_b
+def _model(model: LocalProcessModel, params: MatrixParams) -> tuple[object, bool]:
+    return model, False
+
+
+def _labels(model: LocalProcessModel, params: MatrixParams) -> tuple[object, bool]:
+    return model.net.activity_labels(), False
+
+
+def _ef(model: LocalProcessModel, params: MatrixParams) -> tuple[object, bool]:
+    lang = bounded_language(model, params.bound, params.enum_cap)
+    return ef_relation(lang), lang.truncated
+
+
+def _traces(model: LocalProcessModel, params: MatrixParams) -> tuple[object, bool]:
+    lang = bounded_language(model, params.bound, params.enum_cap)
+    traces, capped = capped_traces(lang, params.lang_cap)
+    return traces, lang.truncated or capped
+
+
+def _exact(kernel: Callable[[object, object], float]):
+    return lambda fa, fb, params: (kernel(fa, fb), False)
+
+
+def _ged(fa: LocalProcessModel, fb: LocalProcessModel, params: MatrixParams) -> tuple[float, bool]:
     sim, exact = ged_similarity(fa, fb, params.ged_budget)
-    return 1.0 - sim, not exact
+    return sim, not exact
+
+
+MEASURES: dict[Measure, MeasureSpec] = {
+    Measure.TRANSITION: MeasureSpec(_labels, _exact(dice), ()),
+    Measure.NODE: MeasureSpec(_model, _exact(sim_node), ()),
+    Measure.EFG: MeasureSpec(_ef, _exact(dice), ("bound", "enum_cap")),
+    Measure.FULL: MeasureSpec(_traces, _exact(_full_from_traces), ("bound", "lang_cap", "enum_cap")),
+    Measure.GED: MeasureSpec(_model, _ged, ("ged_budget",)),
+}
+
+
+def similarity(
+    measure: Measure | str,
+    a: LocalProcessModel,
+    b: LocalProcessModel,
+    *,
+    bound: int = DEFAULT_BOUND,
+    lang_cap: int = DEFAULT_LANG_CAP,
+    enum_cap: int = DEFAULT_ENUM_CAP,
+    ged_budget: int = DEFAULT_GED_BUDGET,
+) -> float:
+    """Similarity of one model pair under the named measure."""
+    spec = MEASURES[Measure(measure)]
+    params = MatrixParams(bound=bound, lang_cap=lang_cap, enum_cap=enum_cap, ged_budget=ged_budget)
+    fa, _ = spec.featurize(a, params)
+    fb, _ = spec.featurize(b, params)
+    return spec.compare(fa, fb, params)[0]
+
+
+def distance(
+    measure: Measure | str,
+    a: LocalProcessModel,
+    b: LocalProcessModel,
+    **params,
+) -> float:
+    """The inverse of the similarity: 1 - sim."""
+    return 1.0 - similarity(measure, a, b, **params)
 
 
 def _pairs_chunk(args) -> list[tuple[int, int, float, bool]]:
     measure_value, features, params, pairs = args
-    measure = Measure(measure_value)
+    compare = MEASURES[Measure(measure_value)].compare
     out = []
     for i, j in pairs:
-        value, approx = _pair_value(measure, features[i], features[j], params)
-        out.append((i, j, value, approx))
+        (fa, approx_a), (fb, approx_b) = features[i], features[j]
+        sim, approx = compare(fa, fb, params)
+        out.append((i, j, 1.0 - sim, approx_a or approx_b or approx))
     return out
 
 
@@ -169,7 +215,8 @@ def distance_matrix(
     ids = tuple(m.id for m in models)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate model ids in the input set")
-    features = _extract_features(models, measure, params)
+    featurize = MEASURES[measure].featurize
+    features = [featurize(m, params) for m in models]
     pairs = [(i, j) for i in range(len(models)) for j in range(i + 1, len(models))]
     if params.workers > 1 and len(pairs) > 1:
         chunk_count = min(len(pairs), params.workers * 4)

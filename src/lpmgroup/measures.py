@@ -1,8 +1,10 @@
-"""The five process-model similarity measures and their shared kernels.
+"""Kernels of the five process-model similarity measures.
 
 All measures map a model pair into [0, 1] and are symmetric; distances are
 one minus the similarity. Dice-style overlaps of two empty sets score 1
-(identically empty behavior), of one empty set 0.
+(identically empty behavior), of one empty set 0. Which kernel serves which
+measure, and on which per-model features, is the ``MEASURES`` table in
+``matrix.py``; ``similarity`` and ``distance`` live there too.
 """
 
 from __future__ import annotations
@@ -13,16 +15,7 @@ from typing import AbstractSet, Sequence
 
 import numpy as np
 
-from .petri import (
-    DEFAULT_BOUND,
-    DEFAULT_ENUM_CAP,
-    BoundedLanguage,
-    LocalProcessModel,
-    LabeledPetriNet,
-    Trace,
-    bounded_language,
-    ef_relation,
-)
+from .petri import BoundedLanguage, LabeledPetriNet, LocalProcessModel, Trace
 
 DEFAULT_LANG_CAP = 1000
 DEFAULT_GED_BUDGET = 1_000_000
@@ -106,11 +99,6 @@ def _ordered(a: LocalProcessModel, b: LocalProcessModel) -> tuple[LocalProcessMo
     return (a, b) if a.fingerprint() <= b.fingerprint() else (b, a)
 
 
-def sim_transition(a: LocalProcessModel, b: LocalProcessModel) -> float:
-    """Overlap of the non-silent transition label sets."""
-    return dice(a.net.activity_labels(), b.net.activity_labels())
-
-
 def place_gain(net_a: LabeledPetriNet, p1: str, net_b: LabeledPetriNet, p2: str) -> float:
     """Matching gain of two places: mean of preset- and postset-label overlap.
 
@@ -144,18 +132,6 @@ def sim_node(a: LocalProcessModel, b: LocalProcessModel) -> float:
     return (2.0 * len(labels_a & labels_b) + 2.0 * g_places) / denom
 
 
-def sim_efg(
-    a: LocalProcessModel,
-    b: LocalProcessModel,
-    bound: int = DEFAULT_BOUND,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> float:
-    """Overlap of the eventually-follows relations of the bounded languages."""
-    ef_a = ef_relation(bounded_language(a, bound, cap))
-    ef_b = ef_relation(bounded_language(b, bound, cap))
-    return dice(ef_a, ef_b)
-
-
 def capped_traces(language: BoundedLanguage, lang_cap: int = DEFAULT_LANG_CAP) -> tuple[tuple[Trace, ...], bool]:
     """Deterministic (length, lexicographic) trace selection up to the cap."""
     traces = sorted(language.traces, key=lambda t: (len(t), t))
@@ -176,64 +152,3 @@ def _full_from_traces(traces_a: Sequence[Trace], traces_b: Sequence[Trace]) -> f
             gains[i, j] = 1.0 - normalized_levenshtein(t1, t2)
     g_traces = optimal_assignment(gains).total_gain
     return 2.0 * g_traces / (len(traces_a) + len(traces_b))
-
-
-def sim_full(
-    a: LocalProcessModel,
-    b: LocalProcessModel,
-    bound: int = DEFAULT_BOUND,
-    lang_cap: int = DEFAULT_LANG_CAP,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> float:
-    """Optimal trace matching between the bounded languages.
-
-    Trace pair gains invert the normalized Levenshtein distance; both
-    languages empty scores 1, exactly one empty 0.
-    """
-    traces_a, _ = capped_traces(bounded_language(a, bound, cap), lang_cap)
-    traces_b, _ = capped_traces(bounded_language(b, bound, cap), lang_cap)
-    return _full_from_traces(traces_a, traces_b)
-
-
-def sim_ged(
-    a: LocalProcessModel,
-    b: LocalProcessModel,
-    budget: int = DEFAULT_GED_BUDGET,
-) -> float:
-    """Graph edit distance similarity, normalized by the summed net sizes."""
-    from .ged import ged_similarity
-
-    return ged_similarity(a, b, budget)[0]
-
-
-def similarity(
-    measure: Measure | str,
-    a: LocalProcessModel,
-    b: LocalProcessModel,
-    *,
-    bound: int = DEFAULT_BOUND,
-    lang_cap: int = DEFAULT_LANG_CAP,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    ged_budget: int = DEFAULT_GED_BUDGET,
-) -> float:
-    """Dispatch to one of the five measures by name."""
-    measure = Measure(measure)
-    if measure is Measure.TRANSITION:
-        return sim_transition(a, b)
-    if measure is Measure.NODE:
-        return sim_node(a, b)
-    if measure is Measure.EFG:
-        return sim_efg(a, b, bound, enum_cap)
-    if measure is Measure.FULL:
-        return sim_full(a, b, bound, lang_cap, enum_cap)
-    return sim_ged(a, b, ged_budget)
-
-
-def distance(
-    measure: Measure | str,
-    a: LocalProcessModel,
-    b: LocalProcessModel,
-    **params,
-) -> float:
-    """The inverse of the similarity: 1 - sim."""
-    return 1.0 - similarity(measure, a, b, **params)

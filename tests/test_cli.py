@@ -199,6 +199,65 @@ class TestErrors:
         assert main(["matrix", "--manifest", str(manifest), "--out", str(out)]) == 0
         assert (out / "matrix_transition.csv").exists()
 
+    @pytest.mark.parametrize(
+        "csv_text",
+        [
+            None,
+            "id,m1,m2\nm2,0,0\nm1,0,0\n",
+            "id,m1,m2\nm1,0,0.5\nm2,0.4,0\n",
+            "id,m1,m2\nm1,0,x\nm2,x,0\n",
+        ],
+        ids=["missing", "row-order", "asymmetric", "non-numeric"],
+    )
+    def test_bad_cached_matrix_exits_one(self, tmp_path, capsys, csv_text):
+        manifest = identical_manifest(tmp_path, count=2)
+        cached = tmp_path / "cached.csv"
+        if csv_text is not None:
+            cached.write_text(csv_text, encoding="utf-8")
+        code = main([
+            "cluster", "--manifest", str(manifest), "--measure", "transition",
+            "--matrix", str(cached), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "cannot load matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "measure, flag, value",
+        [
+            ("efg", "--bound", "0"),
+            ("efg", "--bound", "-3"),
+            ("full", "--lang-cap", "0"),
+            ("efg", "--enum-cap", "0"),
+            ("ged", "--ged-budget", "-1"),
+        ],
+    )
+    def test_non_positive_measure_parameter_exits_one(self, tmp_path, capsys, measure, flag, value):
+        manifest = identical_manifest(tmp_path)
+        code = main([
+            "matrix", "--manifest", str(manifest), "--measure", measure, flag, value,
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measure", ["transition", "node", "efg", "full", "ged"])
+    def test_ignored_parameter_notices(self, tmp_path, capsys, measure):
+        manifest = identical_manifest(tmp_path)
+        assert main([
+            "matrix", "--manifest", str(manifest), "--measure", measure, "--bound", "3",
+            "--lang-cap", "5", "--enum-cap", "50", "--ged-budget", "100", "--out", str(tmp_path / "o"),
+        ]) == 0
+        read = {
+            "transition": (), "node": (), "efg": ("bound", "enum-cap"),
+            "full": ("bound", "lang-cap", "enum-cap"), "ged": ("ged-budget",),
+        }[measure]
+        expected = [
+            f"notice: --{flag} has no effect for measure {measure}; ignored"
+            for flag in ("bound", "lang-cap", "enum-cap", "ged-budget")
+            if flag not in read
+        ]
+        assert capsys.readouterr().err.splitlines() == expected
+
     def test_no_measure_anywhere_exits_one(self, tmp_path, capsys):
         manifest = identical_manifest(tmp_path)
         assert main(["matrix", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1

@@ -108,10 +108,6 @@ class TestAgglomerate:
             ]
             assert counts == sorted(counts, reverse=True)
 
-    def test_rejects_bad_linkage(self):
-        with pytest.raises(ValueError):
-            ClusteringParams(threshold=0.5, linkage="single")
-
 
 class TestSilhouette:
     def test_two_pair_fixture_matches_manual_arithmetic(self):

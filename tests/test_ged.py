@@ -9,7 +9,7 @@ from lpmgroup import (
     LocalProcessModel,
     Marking,
     ged_raw,
-    sim_ged,
+    similarity,
 )
 from genmodels import chain_lpm, random_lpm
 from oracles import oracle_ged
@@ -44,7 +44,7 @@ class TestGedRaw:
         b = chain_lpm("b", ["a", "b", "c"])
         result = ged_raw(empty, b)
         assert result.cost == float(b.net.size) and result.exact
-        assert sim_ged(empty, b) == 0.0
+        assert similarity("ged", empty, b) == 0.0
 
     def test_matches_exhaustive_mapping_oracle(self):
         rng = random.Random(23)
@@ -79,14 +79,14 @@ class TestGedRaw:
 class TestSimGed:
     def test_self_similarity(self):
         a = chain_lpm("a", ["x", "y"])
-        assert sim_ged(a, a) == 1.0
+        assert similarity("ged", a, a) == 1.0
 
     def test_disjoint_single_transitions(self):
-        assert sim_ged(single_transition("a", "a"), single_transition("b", "b")) == 0.5
+        assert similarity("ged", single_transition("a", "a"), single_transition("b", "b")) == 0.5
 
     def test_range_is_clamped(self):
         rng = random.Random(41)
         for k in range(10):
             a = random_lpm(rng, f"a{k}", max_transitions=4, max_places=3)
             b = random_lpm(rng, f"b{k}", max_transitions=4, max_places=3)
-            assert 0.0 <= sim_ged(a, b, budget=500) <= 1.0
+            assert 0.0 <= similarity("ged", a, b, ged_budget=500) <= 1.0

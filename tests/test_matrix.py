@@ -37,18 +37,30 @@ class TestDistanceMatrixType:
         assert sub.entry("c", "a") == matrix.entry("a", "c") == 0.4
 
 
+class TestMatrixParams:
+    @pytest.mark.parametrize("name", ["bound", "lang_cap", "enum_cap", "ged_budget"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_non_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            MatrixParams(**{name: value})
+
+
 class TestDistanceMatrixComputation:
     def test_identical_models_are_all_zero(self):
         models = [chain_lpm("a", ["x", "y"]), chain_lpm("b", ["x", "y"])]
         matrix = distance_matrix(models, Measure.TRANSITION)
         assert np.all(matrix.values == 0.0)
 
-    def test_entries_equal_scalar_recomputation(self):
-        models = [chain_lpm("a", ["x", "y"]), chain_lpm("b", ["y", "z"]), chain_lpm("c", ["p", "q"])]
-        matrix = distance_matrix(models, Measure.TRANSITION)
+    @pytest.mark.parametrize("measure", list(Measure), ids=str)
+    def test_entries_equal_scalar_recomputation(self, measure):
+        rng = random.Random(47)
+        models = [random_lpm(rng, f"m{k}", max_transitions=4, max_places=3) for k in range(5)]
+        params = dict(bound=4, ged_budget=5_000)
+        matrix = distance_matrix(models, measure, MatrixParams(**params))
         for i, a in enumerate(models):
             for j, b in enumerate(models):
-                assert matrix.values[i, j] == distance(Measure.TRANSITION, a, b)
+                if i != j:
+                    assert matrix.values[i, j] == distance(measure, a, b, **params)
 
     def test_rejects_duplicate_model_ids(self):
         models = [chain_lpm("a", ["x"]), chain_lpm("a", ["y"])]
@@ -78,11 +90,12 @@ class TestDistanceMatrixComputation:
             for y in models:
                 assert a.entry(x.id, y.id) == b.entry(x.id, y.id)
 
-    def test_worker_pool_matches_sequential(self):
+    @pytest.mark.parametrize("measure", list(Measure), ids=str)
+    def test_worker_pool_matches_sequential(self, measure):
         rng = random.Random(57)
         models = [random_lpm(rng, f"m{k}", max_transitions=4, max_places=3) for k in range(7)]
-        seq = distance_matrix(models, Measure.EFG, MatrixParams(bound=4, workers=1))
-        par = distance_matrix(models, Measure.EFG, MatrixParams(bound=4, workers=3))
+        seq = distance_matrix(models, measure, MatrixParams(bound=4, ged_budget=5_000, workers=1))
+        par = distance_matrix(models, measure, MatrixParams(bound=4, ged_budget=5_000, workers=3))
         assert np.array_equal(seq.values, par.values)
         assert np.array_equal(seq.approx, par.approx)
 

@@ -15,10 +15,8 @@ from lpmgroup import (
     normalized_levenshtein,
     optimal_assignment,
     place_gain,
-    sim_efg,
-    sim_full,
     sim_node,
-    sim_transition,
+    similarity,
 )
 from genmodels import chain_lpm, random_lpm, xor_lpm
 from oracles import oracle_assignment, oracle_levenshtein
@@ -32,13 +30,13 @@ def labeled(model_id: str, labels: list[str]) -> LocalProcessModel:
 
 class TestTransition:
     def test_identical_sets(self):
-        assert sim_transition(labeled("x", ["a", "b", "c"]), labeled("y", ["a", "b", "c"])) == 1.0
+        assert similarity("transition", labeled("x", ["a", "b", "c"]), labeled("y", ["a", "b", "c"])) == 1.0
 
     def test_disjoint_sets(self):
-        assert sim_transition(labeled("x", ["a", "b"]), labeled("y", ["c", "d"])) == 0.0
+        assert similarity("transition", labeled("x", ["a", "b"]), labeled("y", ["c", "d"])) == 0.0
 
     def test_half_overlap(self):
-        assert sim_transition(labeled("x", ["a", "b"]), labeled("y", ["b", "c"])) == 0.5
+        assert similarity("transition", labeled("x", ["a", "b"]), labeled("y", ["b", "c"])) == 0.5
 
     def test_silent_labels_do_not_count(self):
         net = LabeledPetriNet(
@@ -46,14 +44,14 @@ class TestTransition:
             arcs=[("t", "p"), ("p", "s")], labels={"t": "a", "s": SILENT},
         )
         only_a = LocalProcessModel(id="sil", net=net, initial=EMPTY, final=EMPTY)
-        assert sim_transition(only_a, labeled("y", ["a"])) == 1.0
+        assert similarity("transition", only_a, labeled("y", ["a"])) == 1.0
 
     def test_both_empty_label_sets(self):
         net = LabeledPetriNet(
             places={"p"}, transitions={"t"}, arcs=[("t", "p"), ("p", "t")], labels={"t": SILENT}
         )
         silent_only = LocalProcessModel(id="s", net=net, initial=EMPTY, final=EMPTY)
-        assert sim_transition(silent_only, silent_only) == 1.0
+        assert similarity("transition", silent_only, silent_only) == 1.0
 
     def test_one_exactly_when_label_sets_equal(self):
         rng = random.Random(63)
@@ -61,7 +59,7 @@ class TestTransition:
             a = random_lpm(rng, f"a{k}", max_transitions=5, max_places=4)
             b = random_lpm(rng, f"b{k}", max_transitions=5, max_places=4)
             equal_sets = a.net.activity_labels() == b.net.activity_labels()
-            assert (sim_transition(a, b) == 1.0) == equal_sets
+            assert (similarity("transition", a, b) == 1.0) == equal_sets
 
 
 class TestPlaceGain:
@@ -173,34 +171,34 @@ class TestNode:
 class TestEfg:
     def test_identical_model(self):
         a = labeled("x", ["a", "b"])
-        assert sim_efg(a, a, 5) == 1.0
+        assert similarity("efg", a, a, bound=5) == 1.0
 
     def test_opposite_order(self):
-        assert sim_efg(labeled("x", ["a", "b"]), labeled("y", ["b", "a"]), 5) == 0.0
+        assert similarity("efg", labeled("x", ["a", "b"]), labeled("y", ["b", "a"]), bound=5) == 0.0
 
     def test_two_thirds(self):
         choice = xor_lpm("x", "a", ["b", "c"])  # EF = {(a,b), (a,c)}
         chain = labeled("y", ["a", "b"])  # EF = {(a,b)}
-        assert sim_efg(choice, chain, 5) == pytest.approx(2 / 3)
+        assert similarity("efg", choice, chain, bound=5) == pytest.approx(2 / 3)
 
 
 class TestFull:
     def test_identical_single_trace_language(self):
         a = labeled("x", ["a", "b"])
-        assert sim_full(a, a, 5) == 1.0
+        assert similarity("full", a, a, bound=5) == 1.0
 
     def test_disjoint_languages(self):
-        assert sim_full(labeled("x", ["a", "b"]), labeled("y", ["c", "d"]), 5) == 0.0
+        assert similarity("full", labeled("x", ["a", "b"]), labeled("y", ["c", "d"]), bound=5) == 0.0
 
     def test_two_thirds(self):
         chain = labeled("x", ["a", "b"])
         choice = xor_lpm("y", "a", ["b", "c"])  # language {ab, ac}
-        assert sim_full(chain, choice, 5) == pytest.approx(2 / 3)
+        assert similarity("full", chain, choice, bound=5) == pytest.approx(2 / 3)
 
     def test_one_empty_language(self):
         lpm = chain_lpm("x", ["a", "b"])
         dead = LocalProcessModel(id="d", net=lpm.net, initial=lpm.initial, final=Marking(["p0", "p0"]))
-        assert sim_full(lpm, dead, 5) == 0.0
+        assert similarity("full", lpm, dead, bound=5) == 0.0
 
 
 class TestAxiomsAndDistance:
@@ -214,8 +212,6 @@ class TestAxiomsAndDistance:
         assert distance(Measure.EFG, labeled("x", ["a", "b"]), labeled("y", ["b", "a"]), bound=5) == 1.0
 
     def test_symmetry_range_and_identity(self):
-        from lpmgroup import similarity
-
         rng = random.Random(31)
         models = [random_lpm(rng, f"m{k}", max_transitions=5, max_places=4) for k in range(12)]
         for measure in self.MEASURES:
