@@ -10,6 +10,7 @@ produce identical outputs.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -179,13 +180,17 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-def _cluster_outputs(args, loaded, measure, matrix, out: Path) -> int:
-    import json
+def _select_clusters(args, loaded, matrix, thresholds, out: Path):
+    """Sweep, pick representatives of the selected clustering, write clusters.csv."""
+    result = sweep(matrix, thresholds)
+    reps = representatives(result.selected.clusters, args.repr_strategy, loaded.ranked, matrix)
+    export_clusters(result.selected.clusters, reps, loaded.ranked, out / "clusters.csv")
+    return result, reps
 
-    result = sweep(matrix, _parse_thresholds(args.thresholds))
+
+def _cluster_outputs(args, loaded, measure, matrix, out: Path) -> int:
+    result, reps = _select_clusters(args, loaded, matrix, _parse_thresholds(args.thresholds), out)
     selected = result.selected
-    reps = representatives(selected.clusters, args.repr_strategy, loaded.ranked, matrix)
-    export_clusters(selected.clusters, reps, loaded.ranked, out / "clusters.csv")
     payload = {
         "measure": measure.value,
         "representative_strategy": args.repr_strategy,
@@ -241,9 +246,7 @@ def _cmd_diversity(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     matrix = _compute_matrix(args, loaded, measure).rounded()
     thresholds = _parse_thresholds(args.thresholds)
-    result = sweep(matrix, thresholds)
-    selected = result.selected
-    reps = representatives(selected.clusters, args.repr_strategy, loaded.ranked, matrix)
+    result, reps = _select_clusters(args, loaded, matrix, thresholds, out)
     repr_ranked = loaded.ranked.subset(reps)
     curve = reduction_curve(
         loaded.ranked, measure, thresholds, _parse_ns(args.curve_ns), matrix=matrix
@@ -252,7 +255,6 @@ def _cmd_diversity(args) -> int:
         loaded.ranked, repr_ranked, measure, _parse_ns(args.ns), matrix=matrix
     )
     export_reports(curve, diversity, out)
-    export_clusters(selected.clusters, reps, loaded.ranked, out / "clusters.csv")
     print(
         f"{len(loaded.ranked)} models -> {len(reps)} representatives "
         f"(original ranks {map_ranks(reps, loaded.ranked)})"

@@ -1,15 +1,18 @@
 """Complete-linkage agglomeration, silhouette sweeps, and representatives.
 
-Clusters merge while their complete-linkage distance (maximum pairwise
-member distance) stays strictly below the threshold; ties go to the pair
-with the smallest minimum member index, so dendrograms are reproducible.
-One representative is projected out of every cluster, either the best
-ranked member or the medoid.
+The greedy merge order never depends on the threshold, so a sweep builds
+one merge sequence and cuts it at every threshold t: clusters merge while
+their complete-linkage distance (maximum pairwise member distance) stays
+strictly below t. Merge ties go to the lexicographically smallest pair of
+cluster indices; silhouette ties go to the larger threshold, whatever the
+input order. One representative is projected out of every cluster, either
+the best ranked member or the medoid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -104,41 +107,48 @@ def check_partition(clusters: ClusterSet, ids: Sequence[str]) -> None:
         raise ValueError("clusters do not cover the model set exactly")
 
 
-def agglomerate(
-    matrix: DistanceMatrix, params: ClusteringParams
-) -> tuple[ClusterSet, Dendrogram]:
-    """Merge closest clusters while the complete-linkage distance < threshold."""
+def _merges(matrix: DistanceMatrix, below: float) -> Dendrogram:
+    """Merge closest clusters while the complete-linkage distance < below."""
     n = len(matrix)
     if n < 2:
         raise ValueError("clustering needs at least two models")
-    dist = matrix.values.astype(float).copy()
+    dist = matrix.values.astype(float)
     np.fill_diagonal(dist, np.inf)
-    members: dict[int, set[int]] = {i: {i} for i in range(n)}
+    members = [frozenset((model_id,)) for model_id in matrix.ids]
     steps: list[MergeStep] = []
-    while len(members) > 1:
-        smallest = dist.min()
-        if not smallest < params.threshold:
+    for _ in range(n - 1):
+        # dist stays symmetric with an inf diagonal, so the first row-major
+        # minimum is the lexicographically smallest (i, j), and i < j.
+        i, j = divmod(int(dist.argmin()), n)
+        smallest = float(dist[i, j])
+        if not smallest < below:
             break
-        where = np.argwhere(dist == smallest)
-        i, j = next((int(r), int(c)) for r, c in where if r < c)  # row-major => lexicographic
-        steps.append(
-            MergeStep(
-                first=frozenset(matrix.ids[k] for k in members[i]),
-                second=frozenset(matrix.ids[k] for k in members[j]),
-                distance=float(smallest),
-            )
-        )
+        steps.append(MergeStep(first=members[i], second=members[j], distance=smallest))
         merged_row = np.maximum(dist[i, :], dist[j, :])
         dist[i, :] = merged_row
         dist[:, i] = merged_row
         dist[i, i] = np.inf
         dist[j, :] = np.inf
         dist[:, j] = np.inf
-        members[i] |= members.pop(j)
-    clusters = tuple(
-        frozenset(matrix.ids[k] for k in members[rep]) for rep in sorted(members)
-    )
-    return clusters, tuple(steps)
+        members[i] |= members[j]
+    return tuple(steps)
+
+
+def _clusters(matrix: DistanceMatrix, steps: Iterable[MergeStep]) -> ClusterSet:
+    """Replay merges; clusters are ordered by their first member in matrix order."""
+    cluster_of = {model_id: frozenset((model_id,)) for model_id in matrix.ids}
+    for step in steps:
+        merged = step.first | step.second
+        cluster_of.update(dict.fromkeys(merged, merged))
+    return tuple(dict.fromkeys(cluster_of.values()))
+
+
+def agglomerate(
+    matrix: DistanceMatrix, params: ClusteringParams
+) -> tuple[ClusterSet, Dendrogram]:
+    """Merge closest clusters while the complete-linkage distance < threshold."""
+    steps = _merges(matrix, params.threshold)
+    return _clusters(matrix, steps), steps
 
 
 def silhouette(matrix: DistanceMatrix, clusters: ClusterSet) -> float | None:
@@ -176,7 +186,6 @@ def silhouette(matrix: DistanceMatrix, clusters: ClusterSet) -> float | None:
 class ThresholdOutcome:
     threshold: float
     clusters: ClusterSet
-    dendrogram: Dendrogram
     silhouette: float | None
 
 
@@ -208,23 +217,13 @@ def sweep(
     """
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
+    steps = _merges(matrix, max(ClusteringParams(threshold=t).threshold for t in thresholds))
     outcomes = []
     for threshold in thresholds:
-        clusters, dendrogram = agglomerate(matrix, ClusteringParams(threshold=threshold))
-        outcomes.append(
-            ThresholdOutcome(
-                threshold=threshold,
-                clusters=clusters,
-                dendrogram=dendrogram,
-                silhouette=silhouette(matrix, clusters),
-            )
-        )
-    best = None
-    for outcome in outcomes:  # later (larger) thresholds win ties
-        if outcome.silhouette is None:
-            continue
-        if best is None or outcome.silhouette >= best.silhouette:
-            best = outcome
+        clusters = _clusters(matrix, takewhile(lambda s: s.distance < threshold, steps))
+        outcomes.append(ThresholdOutcome(threshold, clusters, silhouette(matrix, clusters)))
+    scored = [o for o in outcomes if o.silhouette is not None]
+    best = max(scored, key=lambda o: (o.silhouette, o.threshold), default=None)
     return SweepResult(outcomes=tuple(outcomes), best=best)
 
 

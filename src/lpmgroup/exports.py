@@ -34,12 +34,16 @@ def matrix_to_csv(matrix: DistanceMatrix) -> str:
     return buf.getvalue()
 
 
+def _flags_path(path: Path) -> Path:
+    return Path(str(path.with_suffix("")) + "_approx.csv")
+
+
 def export_matrix(matrix: DistanceMatrix, path: Path | str) -> None:
     """Write the distance CSV; approximate pairs go to a sibling flags file,
     which is removed when no pair is approximate."""
     path = Path(path)
     path.write_text(matrix_to_csv(matrix), encoding="utf-8")
-    flags = Path(str(path.with_suffix("")) + "_approx.csv")
+    flags = _flags_path(path)
     if not matrix.approx.any():
         flags.unlink(missing_ok=True)
         return
@@ -54,7 +58,8 @@ def export_matrix(matrix: DistanceMatrix, path: Path | str) -> None:
 
 
 def load_matrix(path: Path | str, measure: str = "loaded") -> DistanceMatrix:
-    """Read a matrix CSV produced by export_matrix."""
+    """Read a matrix CSV produced by export_matrix, with its approximation
+    flags when the sibling flags file exists."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
@@ -68,7 +73,20 @@ def load_matrix(path: Path | str, measure: str = "loaded") -> DistanceMatrix:
         if row[0] != ids[i]:
             raise ValueError(f"{path}: row order does not match the header")
         values[i, :] = [float(cell) for cell in row[1:]]
-    return DistanceMatrix(ids=ids, values=values, measure=measure)
+    approx = np.zeros((len(ids), len(ids)), dtype=bool)
+    flags = _flags_path(path)
+    if flags.exists():
+        with flags.open(newline="", encoding="utf-8") as handle:
+            flag_rows = list(csv.reader(handle))
+        if flag_rows[:1] != [["id_a", "id_b"]]:
+            raise ValueError(f"{flags} is not an approximation flags CSV")
+        index = {model_id: k for k, model_id in enumerate(ids)}
+        for row in flag_rows[1:]:
+            if len(row) != 2 or row[0] == row[1] or not set(row) <= index.keys():
+                raise ValueError(f"{flags}: bad flag row {row!r}")
+            i, j = index[row[0]], index[row[1]]
+            approx[i, j] = approx[j, i] = True
+    return DistanceMatrix(ids=ids, values=values, measure=measure, approx=approx)
 
 
 def export_clusters(

@@ -3,8 +3,9 @@
 These recompute the combinatorial kernels from their definitions: plain
 generate-and-test firing-sequence enumeration, a marking-object
 breadth-first enumeration that models the prefix cap, permutation search
-for the assignment problem, the textbook recursive edit distance, and an
-exhaustive node-mapping minimum for the graph edit distance.
+for the assignment problem, the textbook recursive edit distance, an
+exhaustive node-mapping minimum for the graph edit distance, and complete
+linkage that recomputes every cluster-pair distance at every merge.
 """
 
 from __future__ import annotations
@@ -218,3 +219,30 @@ def oracle_mean_pairwise(ids, matrix) -> float:
     ids = list(ids)
     pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1 :]]
     return sum(matrix.entry(a, b) for a, b in pairs) / len(pairs)
+
+
+def oracle_complete_linkage(matrix, threshold: float):
+    """Clusters (ordered by smallest member index) and merge distances.
+
+    Each step recomputes every cluster-pair distance as the maximum over the
+    original member distances and merges the pair with the smallest
+    (distance, min index of A, min index of B) while that distance is below
+    the threshold.
+    """
+    clusters = [[k] for k in range(len(matrix))]
+    distances = []
+    while len(clusters) > 1:
+        candidates = [
+            (max(matrix.values[a, b] for a in first for b in second), min(first), min(second))
+            for first, second in combinations(sorted(clusters, key=min), 2)
+        ]
+        distance, lo, hi = min(candidates)
+        if not distance < threshold:
+            break
+        first = next(c for c in clusters if min(c) == lo)
+        second = next(c for c in clusters if min(c) == hi)
+        clusters.remove(second)
+        first.extend(second)
+        distances.append(float(distance))
+    ordered = sorted(clusters, key=min)
+    return tuple(frozenset(matrix.ids[k] for k in c) for c in ordered), distances

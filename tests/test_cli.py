@@ -200,20 +200,24 @@ class TestErrors:
         assert (out / "matrix_transition.csv").exists()
 
     @pytest.mark.parametrize(
-        "csv_text",
+        "csv_text, flags_text",
         [
-            None,
-            "id,m1,m2\nm2,0,0\nm1,0,0\n",
-            "id,m1,m2\nm1,0,0.5\nm2,0.4,0\n",
-            "id,m1,m2\nm1,0,x\nm2,x,0\n",
+            (None, None),
+            ("id,m1,m2\nm2,0,0\nm1,0,0\n", None),
+            ("id,m1,m2\nm1,0,0.5\nm2,0.4,0\n", None),
+            ("id,m1,m2\nm1,0,x\nm2,x,0\n", None),
+            ("id,m1,m2\nm1,0,0\nm2,0,0\n", "id_a,id_b\nm1,m9\n"),
+            ("id,m1,m2\nm1,0,0\nm2,0,0\n", "id_a,id_b\nm1\n"),
         ],
-        ids=["missing", "row-order", "asymmetric", "non-numeric"],
+        ids=["missing", "row-order", "asymmetric", "non-numeric", "flags-unknown-id", "flags-malformed"],
     )
-    def test_bad_cached_matrix_exits_one(self, tmp_path, capsys, csv_text):
+    def test_bad_cached_matrix_exits_one(self, tmp_path, capsys, csv_text, flags_text):
         manifest = identical_manifest(tmp_path, count=2)
         cached = tmp_path / "cached.csv"
         if csv_text is not None:
             cached.write_text(csv_text, encoding="utf-8")
+        if flags_text is not None:
+            (tmp_path / "cached_approx.csv").write_text(flags_text, encoding="utf-8")
         code = main([
             "cluster", "--manifest", str(manifest), "--measure", "transition",
             "--matrix", str(cached), "--out", str(tmp_path / "o"),

@@ -18,7 +18,7 @@ from lpmgroup import (
     sweep,
 )
 from genmodels import chain_lpm, planted_groups
-from oracles import oracle_medoid
+from oracles import oracle_complete_linkage, oracle_medoid
 
 
 def matrix_of(ids, entries) -> DistanceMatrix:
@@ -168,13 +168,36 @@ class TestSweep:
         assert result.selected.clusters == (frozenset({"m1", "m2", "m3"}),)
 
     def test_ties_resolve_toward_larger_threshold(self):
-        result = sweep(two_pairs())
-        same = [
-            o
-            for o in result.outcomes
-            if o.silhouette is not None and o.silhouette == result.best.silhouette
-        ]
-        assert result.best.threshold == max(o.threshold for o in same)
+        from lpmgroup import DEFAULT_THRESHOLDS
+
+        for thresholds in (DEFAULT_THRESHOLDS, (1.0, 0.5, 0.3, 0.2)):
+            result = sweep(two_pairs(), thresholds)
+            same = [
+                o
+                for o in result.outcomes
+                if o.silhouette is not None and o.silhouette == result.best.silhouette
+            ]
+            assert result.best.threshold == max(o.threshold for o in same)
+
+    def test_every_threshold_equals_agglomerate_and_oracle(self):
+        from lpmgroup import DEFAULT_THRESHOLDS
+
+        rng = random.Random(101)
+        for _ in range(30):
+            n = rng.randint(2, 15)
+            values = np.zeros((n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    values[i, j] = values[j, i] = round(rng.random(), 1)
+            matrix = DistanceMatrix(ids=tuple(f"m{i}" for i in range(n)), values=values, measure="rnd")
+            thresholds = DEFAULT_THRESHOLDS + tuple(rng.random() for _ in range(3))
+            result = sweep(matrix, thresholds)
+            for threshold, outcome in zip(thresholds, result.outcomes):
+                clusters, steps = agglomerate(matrix, ClusteringParams(threshold=threshold))
+                oracle_clusters, oracle_distances = oracle_complete_linkage(matrix, threshold)
+                assert outcome.threshold == threshold
+                assert outcome.clusters == clusters == oracle_clusters
+                assert [s.distance for s in steps] == oracle_distances
 
 
 class TestRepresentatives:

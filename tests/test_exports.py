@@ -35,12 +35,26 @@ class TestMatrixExport:
     def test_export_load_export_is_byte_identical(self, tmp_path):
         rng = random.Random(5)
         models = [random_lpm(rng, f"m{k}", max_transitions=4, max_places=3) for k in range(6)]
-        matrix = distance_matrix(models, Measure.NODE).rounded()
-        first = tmp_path / "one.csv"
-        export_matrix(matrix, first)
-        again = tmp_path / "two.csv"
-        export_matrix(load_matrix(first, measure="node"), again)
-        assert first.read_bytes() == again.read_bytes()
+        approx = np.zeros((3, 3), dtype=bool)
+        approx[0, 2] = approx[2, 0] = True
+        approx_bearing = DistanceMatrix(
+            ids=("c", "a", "b"),
+            values=np.array([[0.0, 0.25, 0.5], [0.25, 0.0, 0.125], [0.5, 0.125, 0.0]]),
+            measure="efg",
+            approx=approx,
+        )
+        for k, matrix in enumerate((distance_matrix(models, Measure.NODE).rounded(), approx_bearing)):
+            first = tmp_path / f"one{k}.csv"
+            export_matrix(matrix, first)
+            loaded = load_matrix(first, measure=matrix.measure)
+            assert np.array_equal(loaded.approx, matrix.approx)
+            again = tmp_path / f"two{k}.csv"
+            export_matrix(loaded, again)
+            assert first.read_bytes() == again.read_bytes()
+            flags, flags_again = tmp_path / f"one{k}_approx.csv", tmp_path / f"two{k}_approx.csv"
+            assert flags.exists() == flags_again.exists() == matrix.approx.any()
+            if flags.exists():
+                assert flags.read_bytes() == flags_again.read_bytes()
 
     def test_approx_flags_written_separately(self, tmp_path):
         values = np.array([[0.0, 0.5], [0.5, 0.0]])
