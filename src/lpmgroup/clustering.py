@@ -159,27 +159,24 @@ def silhouette(matrix: DistanceMatrix, clusters: ClusterSet) -> float | None:
     k = len(clusters)
     if k <= 1 or k >= n:
         return None
-    index_groups = [sorted(matrix.index(i) for i in cluster) for cluster in clusters]
-    of_point = {}
-    for g, group in enumerate(index_groups):
-        for p in group:
-            of_point[p] = g
-    values = matrix.values
-    scores = []
-    for p in range(n):
-        own = index_groups[of_point[p]]
-        if len(own) == 1:
-            scores.append(0.0)
-            continue
-        a = sum(values[p, q] for q in own if q != p) / (len(own) - 1)
-        b = min(
-            sum(values[p, q] for q in group) / len(group)
-            for g, group in enumerate(index_groups)
-            if g != of_point[p]
-        )
-        top = max(a, b)
-        scores.append(0.0 if top == 0.0 else (b - a) / top)
-    return sum(scores) / n
+    groups = [sorted(matrix.index(i) for i in cluster) for cluster in clusters]
+    own = np.empty(n, dtype=int)
+    for g, group in enumerate(groups):
+        own[group] = g
+    points = np.arange(n)
+    # sums[g, p]: distances from p to cluster g, added left to right in index
+    # order (cumsum, unlike sum, never reorders); p's own zero changes nothing
+    sums = np.array([matrix.values[:, group].cumsum(axis=1)[:, -1] for group in groups])
+    sizes = np.array([len(group) for group in groups], dtype=float)
+    own_size = sizes[own]
+    a = sums[own, points] / np.maximum(own_size - 1.0, 1.0)
+    means = sums / sizes[:, None]
+    means[own, points] = np.inf
+    b = means.min(axis=0)
+    top = np.maximum(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where((own_size == 1.0) | (top == 0.0), 0.0, (b - a) / top)
+    return sum(scores.tolist()) / n
 
 
 @dataclass(frozen=True)

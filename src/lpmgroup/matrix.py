@@ -10,6 +10,7 @@ regardless of worker count or scheduling.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -224,7 +225,8 @@ def distance_matrix(
             (measure.value, features, params, pairs[k::chunk_count]) for k in range(chunk_count)
         ]
         results: list[tuple[int, int, float, bool]] = []
-        with ProcessPoolExecutor(max_workers=params.workers) as pool:
+        # under fork the pool starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(params.workers, os.cpu_count() or 1)) as pool:
             for part in pool.map(_pairs_chunk, chunks):
                 results.extend(part)
     else:

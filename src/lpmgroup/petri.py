@@ -164,10 +164,6 @@ class Marking:
     def as_dict(self) -> dict[str, int]:
         return dict(self.counts)
 
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
     def __bool__(self) -> bool:
         return bool(self.counts)
 

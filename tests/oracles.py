@@ -4,8 +4,9 @@ These recompute the combinatorial kernels from their definitions: plain
 generate-and-test firing-sequence enumeration, a marking-object
 breadth-first enumeration that models the prefix cap, permutation search
 for the assignment problem, the textbook recursive edit distance, an
-exhaustive node-mapping minimum for the graph edit distance, and complete
-linkage that recomputes every cluster-pair distance at every merge.
+exhaustive node-mapping minimum for the graph edit distance, complete
+linkage that recomputes every cluster-pair distance at every merge, and a
+point-by-point silhouette.
 """
 
 from __future__ import annotations
@@ -246,3 +247,30 @@ def oracle_complete_linkage(matrix, threshold: float):
         distances.append(float(distance))
     ordered = sorted(clusters, key=min)
     return tuple(frozenset(matrix.ids[k] for k in c) for c in ordered), distances
+
+
+def oracle_silhouette(matrix, clusters) -> float | None:
+    """Mean silhouette width, one point at a time: a is the mean distance to
+    the rest of the own cluster, b the smallest mean distance to another
+    cluster, each sum taken over member indices in ascending order."""
+    n = len(matrix)
+    if len(clusters) <= 1 or len(clusters) >= n:
+        return None
+    index_groups = [sorted(matrix.index(i) for i in cluster) for cluster in clusters]
+    of_point = {p: g for g, group in enumerate(index_groups) for p in group}
+    values = matrix.values
+    scores = []
+    for p in range(n):
+        own = index_groups[of_point[p]]
+        if len(own) == 1:
+            scores.append(0.0)
+            continue
+        a = sum(values[p, q] for q in own if q != p) / (len(own) - 1)
+        b = min(
+            sum(values[p, q] for q in group) / len(group)
+            for g, group in enumerate(index_groups)
+            if g != of_point[p]
+        )
+        top = max(a, b)
+        scores.append(0.0 if top == 0.0 else (b - a) / top)
+    return sum(scores) / n

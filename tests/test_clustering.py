@@ -18,7 +18,7 @@ from lpmgroup import (
     sweep,
 )
 from genmodels import chain_lpm, planted_groups
-from oracles import oracle_complete_linkage, oracle_medoid
+from oracles import oracle_complete_linkage, oracle_medoid, oracle_silhouette
 
 
 def matrix_of(ids, entries) -> DistanceMatrix:
@@ -198,6 +198,24 @@ class TestSweep:
                 assert outcome.threshold == threshold
                 assert outcome.clusters == clusters == oracle_clusters
                 assert [s.distance for s in steps] == oracle_distances
+
+
+    def test_every_silhouette_equals_point_by_point_oracle(self):
+        """Bit for bit, not approximately: sweep.json prints silhouettes at
+        full precision."""
+        rng = random.Random(103)
+        for k in range(60):
+            n = rng.randint(3, 30)
+            values = np.zeros((n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    values[i, j] = values[j, i] = round(rng.random(), (1, 2, 6)[k % 3])
+            ids = [f"m{i}" for i in range(n)]
+            rng.shuffle(ids)
+            matrix = DistanceMatrix(ids=tuple(ids), values=values, measure="rnd")
+            for outcome in sweep(matrix).outcomes:
+                expected = oracle_silhouette(matrix, outcome.clusters)
+                assert silhouette(matrix, outcome.clusters) == outcome.silhouette == expected
 
 
 class TestRepresentatives:

@@ -75,6 +75,37 @@ class TestGedRaw:
         if exact.exact:
             assert exact.cost <= tight.cost + 1e-12
 
+    # (cost, exact) at each of BUDGETS for seed-43 random_lpm pairs
+    BUDGETS = (10, 40, 100, 600, 25_000)
+    BUDGET_PINS = [
+        [(22.0, False), (22.0, False), (22.0, False), (22.0, True), (22.0, True)],
+        [(28.75, False), (28.75, False), (28.75, False), (28.75, False), (28.75, False)],
+        [(19.0, True), (19.0, True), (19.0, True), (19.0, True), (19.0, True)],
+        [(22.0, False), (22.0, False), (21.0, False), (21.0, False), (21.0, True)],
+        [(24.0, False), (23.0, False), (23.0, False), (21.0, False), (21.0, True)],
+        [(13.0, False), (12.0, False), (11.0, False), (11.0, True), (11.0, True)],
+        [(16.4, False), (16.4, False), (16.4, False), (16.4, False), (16.4, True)],
+        [(33.0, False), (33.0, False), (33.0, False), (33.0, False), (33.0, False)],
+        [(12.0, True), (12.0, True), (12.0, True), (12.0, True), (12.0, True)],
+        [(30.0, False), (30.0, False), (28.0, False), (27.0, False), (25.0, True)],
+        [(23.75, False), (23.75, False), (23.75, False), (23.5, False), (22.25, False)],
+        [(46 / 3, False), (46 / 3, True), (46 / 3, True), (46 / 3, True), (46 / 3, True)],
+    ]
+
+    def test_budget_semantics_are_pinned(self):
+        """Candidate order, expansion counting and pruning decide where an
+        exhausted search stops; pin the result at several budgets."""
+        rng = random.Random(43)
+        approx_at = dict.fromkeys(self.BUDGETS, 0)
+        for k, pins in enumerate(self.BUDGET_PINS):
+            a = random_lpm(rng, f"a{k}", max_transitions=8, max_places=6)
+            b = random_lpm(rng, f"b{k}", max_transitions=8, max_places=6)
+            for budget, (cost, exact) in zip(self.BUDGETS, pins):
+                result = ged_raw(a, b, budget=budget)
+                assert (result.cost, result.exact) == (pytest.approx(cost, abs=1e-9), exact), (k, budget)
+                approx_at[budget] += not result.exact
+        assert approx_at[40] > 0 and approx_at[600] > 0
+
 
 class TestSimGed:
     def test_self_similarity(self):

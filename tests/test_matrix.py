@@ -1,5 +1,6 @@
 """Distance matrix assembly: determinism, flags, worker equivalence."""
 
+import os
 import random
 
 import numpy as np
@@ -98,6 +99,34 @@ class TestDistanceMatrixComputation:
         par = distance_matrix(models, measure, MatrixParams(bound=4, ged_budget=5_000, workers=3))
         assert np.array_equal(seq.values, par.values)
         assert np.array_equal(seq.approx, par.approx)
+
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (None, 1)])
+    def test_pool_size_is_bounded_by_cpu_count(self, monkeypatch, cpus, expected):
+        import lpmgroup.matrix as matrix_module
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(matrix_module, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rng = random.Random(59)
+        models = [random_lpm(rng, f"m{k}", max_transitions=4, max_places=3) for k in range(5)]
+        seq = distance_matrix(models, Measure.NODE, MatrixParams(workers=1))
+        wide = distance_matrix(models, Measure.NODE, MatrixParams(workers=5000))
+        assert sizes == [expected]
+        assert np.array_equal(seq.values, wide.values)
 
     def test_truncated_language_sets_approx_flag(self):
         models = [chain_lpm("a", ["x", "y", "z"]), chain_lpm("b", ["x", "y"])]
