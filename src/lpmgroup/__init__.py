@@ -74,6 +74,7 @@ from .petri import (
     bounded_language,
     ef_relation,
     enabled,
+    eventually_follows,
     fire,
     is_silent,
     unrestricted_transitions,

@@ -32,7 +32,7 @@ from .petri import (
     DEFAULT_ENUM_CAP,
     LocalProcessModel,
     bounded_language,
-    ef_relation,
+    eventually_follows,
 )
 
 
@@ -136,8 +136,12 @@ def _labels(model: LocalProcessModel, params: MatrixParams) -> tuple[object, boo
 
 
 def _ef(model: LocalProcessModel, params: MatrixParams) -> tuple[object, bool]:
-    lang = bounded_language(model, params.bound, params.enum_cap)
-    return ef_relation(lang), lang.truncated
+    """The EF relation on the layered state graph, exact up to the bound.
+
+    ``enum_cap`` only sets the flag: it marks the models whose bounded
+    language the enumerator would have cut short.
+    """
+    return eventually_follows(model, params.bound, params.enum_cap)
 
 
 def _traces(model: LocalProcessModel, params: MatrixParams) -> tuple[object, bool]:

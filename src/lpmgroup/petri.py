@@ -6,6 +6,13 @@ and one outgoing arc. Its behavior is the set of valid complete firing
 sequences: transition sequences that lead from the initial to the final
 marking while no place receives more than one token from transitions with
 an empty preset ("unrestricted" transitions).
+
+Bounded behavior comes two ways from one compiled firing rule:
+``valid_complete_firing_sequences`` (and ``bounded_language`` on top of it)
+lists the sequences breadth-first up to a prefix cap, and
+``eventually_follows`` derives the eventually-follows relation from the
+state graph layered by depth, exact up to the bound without listing any
+sequence.
 """
 
 from __future__ import annotations
@@ -420,3 +427,71 @@ def ef_relation(language: BoundedLanguage) -> EFRelation:
     for trace in language.traces:
         pairs.update(combinations(trace, 2))
     return frozenset(pairs)
+
+
+def eventually_follows(
+    lpm: LocalProcessModel,
+    bound: int = DEFAULT_BOUND,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> tuple[EFRelation, bool]:
+    """The EF relation of the bounded language, without listing sequences.
+
+    Works on the state graph of the firing rule, layered by depth
+    0..``bound``; a state is a marking plus the places already fed by
+    unrestricted transitions, so what may fire next depends on the state
+    alone. A forward pass gives every layered state the labels seen on some
+    path to it and its number of paths; a backward pass finds the live
+    states, from which some path reaches the final marking at a depth in
+    1..``bound``. Every
+    non-silent step into a live state pairs each label seen before it with
+    its own label, so the relation is that of ``bounded_language`` with no
+    cap. The flag equals ``valid_complete_firing_sequences``'s: more than
+    ``cap`` firing sequences of length 1..``bound`` exist. Path counts
+    saturate at ``cap + 1``.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    rule = _FiringRule(lpm.net, lpm.initial.places() | lpm.final.places())
+    enabled_in, fire_in = rule.enabled, rule.fire
+    names = sorted({lpm.net.labels[t] for t in rule.transitions} - {SILENT})
+    slot = {name: i for i, name in enumerate(names)}
+    label = [slot.get(lpm.net.labels[t], -1) for t in rule.transitions]  # -1: silent
+    bit = [1 << i if i >= 0 else 0 for i in label]
+    limit = cap + 1
+    prefixes = 0
+    # layer: state -> (mask of labels seen on some path to it, path count)
+    layer = {(rule.encode(lpm.initial), 0): (0, 1)}
+    steps = []  # per depth, the edges (state, its label mask, transition, successor)
+    for _ in range(bound):
+        edges = []
+        reached: dict = {}
+        for state, (seen, paths) in layer.items():
+            for k in enabled_in(*state):
+                succ = fire_in(*state, k)
+                edges.append((state, seen, k, succ))
+                if succ in reached:
+                    old_seen, old_paths = reached[succ]
+                    reached[succ] = (old_seen | seen | bit[k], min(old_paths + paths, limit))
+                else:
+                    reached[succ] = (seen | bit[k], paths)
+                prefixes = min(prefixes + paths, limit)
+        steps.append(edges)
+        layer = reached
+    final = rule.encode(lpm.final)
+    before = [0] * len(names)  # per label, the mask of labels that precede it
+    live: set = set()  # live states of the layer the current edges lead into
+    for edges in reversed(steps):
+        live_here = set()
+        for state, seen, k, succ in edges:
+            if succ[0] == final or succ in live:
+                live_here.add(state)
+                if label[k] >= 0:
+                    before[label[k]] |= seen
+        live = live_here
+    pairs = frozenset(
+        (names[a], names[b])
+        for b, mask in enumerate(before)
+        for a in range(len(names))
+        if mask >> a & 1
+    )
+    return pairs, prefixes > cap

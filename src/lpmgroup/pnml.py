@@ -71,6 +71,8 @@ def parse_pnml(data: bytes | str) -> tuple[LabeledPetriNet, Marking, Marking]:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
         raise PnmlError(f"malformed XML: {exc}") from exc
+    except (LookupError, UnicodeEncodeError) as exc:  # unknown declared encoding, lone surrogates
+        raise PnmlError(f"bad text encoding: {exc}") from exc
     net = root if _local(root.tag) == "net" else _first(root, "net")
     if net is None:
         raise PnmlError("document contains no <net> element")

@@ -94,6 +94,17 @@ def random_lpm(
     return LocalProcessModel(id=model_id, net=net, initial=initial, final=final)
 
 
+def self_loop_star(loops: int) -> LocalProcessModel:
+    """t0 -> p0 -> exit, with ``loops`` self-loop transitions on p0: the
+    language grows exponentially in the bound."""
+    ts = ["t0"] + [f"t{k + 1}" for k in range(loops + 1)]
+    arcs = [("t0", "p0"), ("p0", ts[-1])]
+    for t in ts[1:-1]:
+        arcs += [("p0", t), (t, "p0")]
+    net = LabeledPetriNet(places={"p0"}, transitions=ts, arcs=arcs, labels={t: t.upper() for t in ts})
+    return LocalProcessModel(id=f"star{loops}", net=net, initial=Marking(), final=Marking())
+
+
 def with_isolated_transition(lpm: LocalProcessModel) -> LocalProcessModel:
     net = lpm.net
     labels = dict(net.labels)

@@ -9,8 +9,13 @@ from lpmgroup import (
     LabeledPetriNet,
     LocalProcessModel,
     Marking,
+    MatrixParams,
     Measure,
+    bounded_language,
+    dice,
     distance,
+    distance_matrix,
+    ef_relation,
     levenshtein,
     normalized_levenshtein,
     optimal_assignment,
@@ -18,7 +23,7 @@ from lpmgroup import (
     sim_node,
     similarity,
 )
-from genmodels import chain_lpm, random_lpm, xor_lpm
+from genmodels import chain_lpm, random_lpm, self_loop_star, xor_lpm
 from oracles import oracle_assignment, oracle_levenshtein
 
 EMPTY = Marking()
@@ -180,6 +185,25 @@ class TestEfg:
         choice = xor_lpm("x", "a", ["b", "c"])  # EF = {(a,b), (a,c)}
         chain = labeled("y", ["a", "b"])  # EF = {(a,b)}
         assert similarity("efg", choice, chain, bound=5) == pytest.approx(2 / 3)
+
+    def test_truncated_star_is_flagged_but_exact(self):
+        # At bound 10 the star has ~437k firing-sequence prefixes, past the
+        # default cap: its pairs are flagged, yet the distances equal those
+        # of the enumeration at a cap that cuts nothing.
+        models = [
+            self_loop_star(4),
+            labeled("c", ["T0", "T1", "T5"]),
+            labeled("d", ["T2", "T2", "T1"]),
+            xor_lpm("x", "T0", ["T3", "T4"]),
+        ]
+        dm = distance_matrix(models, "efg", MatrixParams(bound=10))
+        assert dm.approx[0, 1:].all() and not dm.approx[1:, 1:].any()
+        languages = [bounded_language(m, 10, cap=1_000_000) for m in models]
+        assert not any(lang.truncated for lang in languages)
+        relations = [ef_relation(lang) for lang in languages]
+        for i in range(len(models)):
+            for j in range(i + 1, len(models)):
+                assert dm.values[i, j] == 1.0 - dice(relations[i], relations[j])
 
 
 class TestFull:

@@ -13,12 +13,19 @@ from lpmgroup import (
     bounded_language,
     ef_relation,
     enabled,
+    eventually_follows,
     fire,
     unrestricted_transitions,
     valid_complete_firing_sequences,
     validate_lpm,
 )
-from genmodels import chain_lpm, random_lpm, with_isolated_transition, without_place_outputs
+from genmodels import (
+    chain_lpm,
+    random_lpm,
+    self_loop_star,
+    with_isolated_transition,
+    without_place_outputs,
+)
 from oracles import oracle_bfs_sequences, oracle_sequences
 
 EMPTY = Marking()
@@ -36,17 +43,6 @@ def two_parallel_chains() -> LocalProcessModel:
         labels={t: t.upper() for t in "abcd"},
     )
     return LocalProcessModel(id="two", net=net, initial=EMPTY, final=EMPTY)
-
-
-def self_loop_star(loops: int) -> LocalProcessModel:
-    """t0 -> p0 -> exit, with ``loops`` self-loop transitions on p0: the
-    language grows exponentially in the bound."""
-    ts = ["t0"] + [f"t{k + 1}" for k in range(loops + 1)]
-    arcs = [("t0", "p0"), ("p0", ts[-1])]
-    for t in ts[1:-1]:
-        arcs += [("p0", t), (t, "p0")]
-    net = LabeledPetriNet(places={"p0"}, transitions=ts, arcs=arcs, labels={t: t.upper() for t in ts})
-    return LocalProcessModel(id=f"star{loops}", net=net, initial=EMPTY, final=EMPTY)
 
 
 class TestNetConstruction:
@@ -273,3 +269,82 @@ class TestEfRelation:
             activities = lpm.net.activity_labels()
             for a, b in pairs:
                 assert a in activities and b in activities
+
+
+def _pairs_of(lpm: LocalProcessModel, sequences) -> frozenset:
+    labels = lpm.net.labels
+    pairs = set()
+    for seq in sequences:
+        trace = [labels[t] for t in seq if labels[t] != SILENT]
+        pairs.update((trace[i], b) for i in range(len(trace)) for b in trace[i + 1 :])
+    return frozenset(pairs)
+
+
+def _ef_population() -> list[LocalProcessModel]:
+    """Chains, interleavings, a self-loop star whose bound-10 language
+    exceeds 100k prefixes, and seeded random models, some with tokens."""
+    rng = random.Random(2024)
+    models = [simple_chain(), two_parallel_chains(), self_loop_star(4)]
+    models += [
+        random_lpm(rng, f"s{k}", max_transitions=6, max_places=4, token_prob=0.3) for k in range(40)
+    ]
+    models += [
+        random_lpm(rng, f"l{k}", max_transitions=8, max_places=6, token_prob=0.3) for k in range(25)
+    ]
+    # a final marking naming a place the net lacks is never reached
+    stray = models[3]
+    models.append(LocalProcessModel("stray", stray.net, stray.initial, Marking(["zz"])))
+    return models
+
+
+class TestEventuallyFollows:
+    CAPS = (1, 2, 7, 100, 1000, 100_000)
+
+    def test_matches_enumeration_at_every_bound_and_cap(self):
+        truncated_cases = untruncated_cases = 0
+        for lpm in _ef_population():
+            for bound in range(1, 11):
+                reference = None
+                for cap in self.CAPS:
+                    # an enumeration that was not cut short is the same at every larger cap
+                    if reference is None or reference.truncated:
+                        reference = bounded_language(lpm, bound, cap)
+                    pairs, truncated = eventually_follows(lpm, bound, cap)
+                    where = (lpm.id, bound, cap)
+                    assert truncated == reference.truncated, where
+                    if truncated:
+                        truncated_cases += 1
+                        assert pairs >= ef_relation(reference), where
+                    else:
+                        untruncated_cases += 1
+                        assert pairs == ef_relation(reference), where
+        assert truncated_cases > 100 and untruncated_cases > 1000
+
+    def test_flag_is_the_enumerator_flag_at_the_cap_boundary(self):
+        # two parallel chains: 2 + 4 + 6 + 6 firing sequences of length 1..4
+        lpm = two_parallel_chains()
+        for cap, expected in ((17, True), (18, False), (19, False)):
+            assert eventually_follows(lpm, 4, cap)[1] is expected
+            assert valid_complete_firing_sequences(lpm, 4, cap).truncated is expected
+
+    def test_matches_generate_and_test_oracle(self):
+        for lpm in _ef_population():
+            for bound in range(1, 6):
+                pairs, truncated = eventually_follows(lpm, bound, 100_000)
+                assert not truncated
+                assert pairs == _pairs_of(lpm, oracle_sequences(lpm, bound)), (lpm.id, bound)
+
+    def test_star_is_exact_past_the_cap(self):
+        # the relation at bound 10 needs no cap: every loop pairs with
+        # itself and every other loop, and follows T0
+        lpm = self_loop_star(4)
+        pairs, truncated = eventually_follows(lpm, 10)
+        assert truncated
+        loops = ["T1", "T2", "T3", "T4"]
+        expected = {("T0", b) for b in loops + ["T5"]}
+        expected |= {(a, b) for a in loops for b in loops + ["T5"]}
+        assert pairs == expected
+
+    def test_rejects_bound_below_one(self):
+        with pytest.raises(ValueError):
+            eventually_follows(simple_chain(), 0)

@@ -2,10 +2,21 @@
 
 import json
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lpmgroup import Marking, PnmlError, SILENT, parse_pnml, parse_pnml_file, write_pnml
+from lpmgroup import (
+    SILENT,
+    LabeledPetriNet,
+    Marking,
+    PnmlError,
+    parse_pnml,
+    parse_pnml_file,
+    write_pnml,
+)
 from genmodels import random_lpm
 
 TWO_TRANSITION_NET = """<?xml version="1.0" encoding="UTF-8"?>
@@ -168,3 +179,82 @@ class TestInputErrors:
         (tmp_path / "model.pnml").mkdir()
         with pytest.raises(PnmlError, match="cannot read"):
             parse_pnml_file(tmp_path / "model.pnml")
+
+
+# Documents built from the PNML vocabulary, so that most of them get past
+# the XML parser and into the net reader.
+_TAGS = (
+    "pnml", "net", "page", "place", "transition", "arc", "name", "text",
+    "initialMarking", "finalmarkings", "marking", "toolspecific",
+)
+_ATTRS = st.dictionaries(
+    st.sampled_from(("id", "idref", "source", "target")),
+    st.sampled_from(("p1", "p2", "t1", "t2", "a1", "", " ")),
+    max_size=3,
+)
+_TEXTS = st.one_of(
+    st.none(),
+    st.sampled_from(("0", "1", " 2 ", "-1", "1e3", "x", "", "٣", "9" * 5000)),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=6),
+)
+
+
+def _element(tag, attrs, text, children):
+    element = ET.Element(tag, attrs)
+    element.text = text
+    element.extend(children)
+    return element
+
+
+_TREES = st.recursive(
+    st.builds(_element, st.sampled_from(_TAGS), _ATTRS, _TEXTS, st.just([])),
+    lambda children: st.builds(
+        _element, st.sampled_from(_TAGS), _ATTRS, _TEXTS, st.lists(children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+_NETS = st.lists(_TREES, max_size=6).map(
+    lambda nodes: _element("pnml", {}, None, [_element("net", {"id": "n"}, None, nodes)])
+)
+
+
+def _valid_document(seed: int) -> bytes:
+    lpm = random_lpm(random.Random(seed), "m", max_transitions=5, max_places=4, token_prob=0.5)
+    return write_pnml(lpm.net, lpm.initial, lpm.final)
+
+
+@st.composite
+def _spliced_documents(draw) -> bytes:
+    """A valid document with one byte range replaced by arbitrary bytes."""
+    data = _valid_document(draw(st.integers(0, 50)))
+    start = draw(st.integers(0, len(data)))
+    stop = draw(st.integers(start, min(len(data), start + 40)))
+    return data[:start] + draw(st.binary(max_size=12)) + data[stop:]
+
+
+class TestFuzz:
+    @settings(max_examples=300, database=None, derandomize=True, deadline=None)
+    @given(
+        st.one_of(
+            _NETS.map(lambda tree: ET.tostring(tree, encoding="unicode")),
+            _TREES.map(ET.tostring),
+            _spliced_documents(),
+            st.binary(max_size=64),
+            st.text(st.characters(blacklist_categories=()), max_size=64),  # surrogates too
+            st.sampled_from(("utf-8", "latin-1", "utf-16", "ascii", "no-such-codec", "")).map(
+                lambda enc: f'<?xml version="1.0" encoding="{enc}"?><net/>'.encode("ascii")
+            ),
+        )
+    )
+    @example('<net><transition id="t\ud800"/></net>')  # a lone surrogate cannot be encoded
+    @example(b'<?xml version="1.0" encoding="no-such-codec"?><net/>')
+    def test_parse_returns_a_net_or_raises_pnml_error(self, data):
+        try:
+            net, initial, final = parse_pnml(data)
+        except PnmlError:
+            return
+        assert isinstance(net, LabeledPetriNet)
+        assert initial.places() <= net.places and final.places() <= net.places
+        assert parse_pnml(write_pnml(net, initial, final)) == (net, initial, final)
