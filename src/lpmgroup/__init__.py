@@ -42,6 +42,7 @@ from .exports import (
     export_dot,
     export_matrix,
     export_reports,
+    export_sweep,
     load_matrix,
     matrix_to_csv,
 )

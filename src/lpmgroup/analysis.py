@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .clustering import DEFAULT_THRESHOLDS, RankedModelSet, sweep
-from .matrix import DistanceMatrix, MatrixParams, distance_matrix
+from .matrix import DistanceMatrix, distance_matrix
 from .measures import Measure
 from .petri import LocalProcessModel
 
@@ -78,8 +78,7 @@ class DiversityReport:
 
 def _full_matrix(
     ranked: RankedModelSet,
-    measure: Measure | str,
-    params: MatrixParams,
+    measure: Measure,
     matrix: DistanceMatrix | None,
 ) -> DistanceMatrix:
     if matrix is not None:
@@ -87,7 +86,7 @@ def _full_matrix(
         if missing:
             raise ValueError(f"matrix does not cover models {sorted(missing)}")
         return matrix
-    return distance_matrix(ranked.models, measure, params)
+    return distance_matrix(ranked.models, measure)
 
 
 def reduction_curve(
@@ -95,20 +94,18 @@ def reduction_curve(
     measure: Measure | str,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
     ns: Sequence[int] = DEFAULT_CURVE_NS,
-    params: MatrixParams | None = None,
     matrix: DistanceMatrix | None = None,
 ) -> ReductionCurve:
     """Representative counts from re-clustering each top-n prefix.
 
     Each prefix is clustered on its own (sliced) distance matrix; a
     precomputed matrix covering the ranked set short-circuits the pairwise
-    computation.
+    computation, which otherwise runs with the default ``MatrixParams``.
     """
     if not ns:
         raise ValueError("ns must be non-empty")
-    params = params or MatrixParams()
     measure = Measure(measure)
-    full = _full_matrix(ranked, measure, params, matrix)
+    full = _full_matrix(ranked, measure, matrix)
     points = []
     for n in ns:
         prefix = [m.id for m in top_n(ranked, n)]
@@ -144,7 +141,6 @@ def diversity_report(
     repr_ranked: RankedModelSet,
     measure: Measure | str,
     ns: Sequence[int] = DEFAULT_DIVERSITY_NS,
-    params: MatrixParams | None = None,
     matrix: DistanceMatrix | None = None,
 ) -> DiversityReport:
     """Mean pairwise distance of original vs representative top-n sets.
@@ -152,7 +148,6 @@ def diversity_report(
     ``repr_ranked`` must be a subset of ``ranked`` with inherited ranks;
     n values larger than a set are clamped to its size.
     """
-    params = params or MatrixParams()
     measure = Measure(measure)
     ranked_ids = set(m.id for m in ranked.models)
     for m in repr_ranked.models:
@@ -160,7 +155,7 @@ def diversity_report(
             raise ValueError(f"representative {m.id!r} is not part of the ranked set")
         if repr_ranked.rank(m.id) != ranked.rank(m.id):
             raise ValueError(f"representative {m.id!r} does not keep its original rank")
-    full = _full_matrix(ranked, measure, params, matrix)
+    full = _full_matrix(ranked, measure, matrix)
     entries = []
     for n in ns:
         originals = top_n(ranked, n)

@@ -10,7 +10,6 @@ produce identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .analysis import (
     reduction_curve,
 )
 from .clustering import representatives, sweep
-from .exports import export_clusters, export_dot, export_matrix, export_reports, load_matrix
+from .exports import export_clusters, export_dot, export_matrix, export_reports, export_sweep, load_matrix
 from .manifest import ManifestError, load_manifest
 from .matrix import MEASURES, DistanceMatrix, MatrixParams, distance_matrix
 from .measures import DEFAULT_GED_BUDGET, DEFAULT_LANG_CAP, Measure
@@ -74,7 +73,8 @@ def _add_common(parser: argparse.ArgumentParser, with_measure: bool = True) -> N
         parser.add_argument("--measure", choices=[m.value for m in Measure], help="similarity measure")
         parser.add_argument("--bound", type=int, default=None, help=f"max firing-sequence length for efg/full (default {DEFAULT_BOUND})")
         parser.add_argument("--lang-cap", type=int, default=None, help=f"max traces per side for full (default {DEFAULT_LANG_CAP})")
-        parser.add_argument("--enum-cap", type=int, default=None, help=f"max explored prefixes per model (default {DEFAULT_ENUM_CAP})")
+        parser.add_argument("--enum-cap", type=int, default=None, help="max firing-sequence prefixes per model: full "
+                            f"stops enumerating there and flags the model; efg only sets the flag (default {DEFAULT_ENUM_CAP})")
         parser.add_argument("--ged-budget", type=int, default=None, help=f"search-node budget per ged pair (default {DEFAULT_GED_BUDGET})")
         parser.add_argument("--workers", type=int, default=1, help="worker processes for pairwise distances")
 
@@ -162,21 +162,29 @@ def _cmd_validate(args) -> int:
     return 0 if not loaded.skipped else 1
 
 
+def _setup(args):
+    """The models, the measure and the created --out directory of matrix, cluster and diversity."""
+    loaded = _load(args)
+    measure = _resolve_measure(args, loaded.manifest)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return loaded, measure, out
+
+
 def _compute_matrix(args, loaded, measure: Measure) -> DistanceMatrix:
+    """The distance matrix, rounded to the CSV precision."""
     params = _resolve_params(args, loaded.manifest, measure)
     if len(loaded.ranked) < 2:
         raise CliError("need at least two valid models")
-    return distance_matrix(loaded.ranked.models, measure, params)
+    return distance_matrix(loaded.ranked.models, measure, params).rounded()
 
 
 def _cmd_matrix(args) -> int:
-    loaded = _load(args)
-    measure = _resolve_measure(args, loaded.manifest)
-    matrix = _compute_matrix(args, loaded, measure).rounded()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    export_matrix(matrix, out / f"matrix_{measure.value}.csv")
-    print(f"wrote {out / f'matrix_{measure.value}.csv'} ({len(matrix)} models)")
+    loaded, measure, out = _setup(args)
+    matrix = _compute_matrix(args, loaded, measure)
+    path = out / f"matrix_{measure.value}.csv"
+    export_matrix(matrix, path)
+    print(f"wrote {path} ({len(matrix)} models)")
     return 0
 
 
@@ -188,28 +196,21 @@ def _select_clusters(args, loaded, matrix, thresholds, out: Path):
     return result, reps
 
 
-def _cluster_outputs(args, loaded, measure, matrix, out: Path) -> int:
+def _cmd_cluster(args) -> int:
+    loaded, measure, out = _setup(args)
+    if args.matrix:
+        try:
+            matrix = load_matrix(args.matrix, measure=measure.value)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot load matrix: {exc}") from None
+        if set(matrix.ids) != {m.id for m in loaded.ranked.models}:
+            raise CliError("cached matrix ids do not match the manifest")
+    else:
+        matrix = _compute_matrix(args, loaded, measure)
+        export_matrix(matrix, out / f"matrix_{measure.value}.csv")
     result, reps = _select_clusters(args, loaded, matrix, _parse_thresholds(args.thresholds), out)
+    export_sweep(result, reps, loaded.ranked, measure.value, args.repr_strategy, out / "sweep.json")
     selected = result.selected
-    payload = {
-        "measure": measure.value,
-        "representative_strategy": args.repr_strategy,
-        "selected_threshold": selected.threshold,
-        "selected_silhouette": selected.silhouette,
-        "cluster_count": len(selected.clusters),
-        "all_degenerate": result.all_degenerate,
-        "representatives": sorted(reps),
-        "representative_ranks": map_ranks(reps, loaded.ranked),
-        "thresholds": [
-            {
-                "threshold": o.threshold,
-                "cluster_count": len(o.clusters),
-                "silhouette": o.silhouette,
-            }
-            for o in result.outcomes
-        ],
-    }
-    (out / "sweep.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(selected.clusters)} clusters at threshold {selected.threshold}")
     if result.all_degenerate:
         print(
@@ -221,46 +222,20 @@ def _cluster_outputs(args, loaded, measure, matrix, out: Path) -> int:
     return 0
 
 
-def _cmd_cluster(args) -> int:
-    loaded = _load(args)
-    measure = _resolve_measure(args, loaded.manifest)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.matrix:
-        try:
-            matrix = load_matrix(args.matrix, measure=measure.value)
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot load matrix: {exc}") from None
-        if set(matrix.ids) != {m.id for m in loaded.ranked.models}:
-            raise CliError("cached matrix ids do not match the manifest")
-    else:
-        matrix = _compute_matrix(args, loaded, measure).rounded()
-        export_matrix(matrix, out / f"matrix_{measure.value}.csv")
-    return _cluster_outputs(args, loaded, measure, matrix, out)
-
-
 def _cmd_diversity(args) -> int:
-    loaded = _load(args)
-    measure = _resolve_measure(args, loaded.manifest)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    matrix = _compute_matrix(args, loaded, measure).rounded()
+    loaded, measure, out = _setup(args)
+    matrix = _compute_matrix(args, loaded, measure)
     thresholds = _parse_thresholds(args.thresholds)
     result, reps = _select_clusters(args, loaded, matrix, thresholds, out)
+    curve = reduction_curve(loaded.ranked, measure, thresholds, _parse_ns(args.curve_ns), matrix=matrix)
     repr_ranked = loaded.ranked.subset(reps)
-    curve = reduction_curve(
-        loaded.ranked, measure, thresholds, _parse_ns(args.curve_ns), matrix=matrix
-    )
-    diversity = diversity_report(
-        loaded.ranked, repr_ranked, measure, _parse_ns(args.ns), matrix=matrix
-    )
+    diversity = diversity_report(loaded.ranked, repr_ranked, measure, _parse_ns(args.ns), matrix=matrix)
     export_reports(curve, diversity, out)
     print(
         f"{len(loaded.ranked)} models -> {len(reps)} representatives "
         f"(original ranks {map_ranks(reps, loaded.ranked)})"
     )
-    degenerate = result.all_degenerate or any(p.degenerate for p in curve.points)
-    if degenerate:
+    if result.all_degenerate or any(p.degenerate for p in curve.points):
         print("warning: degenerate clustering outcomes were recorded", file=sys.stderr)
         return 2 if args.strict else 0
     return 0

@@ -1,4 +1,4 @@
-"""Deterministic file exports: matrices, clusters, reports, and DOT graphs.
+"""Every file the pipeline writes: matrices, clusters, the sweep, reports, DOT graphs.
 
 Matrix values are written as 6-decimal fixed point; re-exporting a loaded
 matrix reproduces the file byte for byte. All writers emit rows in a fixed
@@ -10,28 +10,47 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import DiversityReport, ReductionCurve
-from .clustering import ClusterSet, RankedModelSet
-from .matrix import DistanceMatrix
+from .analysis import CurvePoint, DiversityEntry, DiversityReport, ReductionCurve, map_ranks
+from .clustering import ClusterSet, RankedModelSet, SweepResult
+from .matrix import MATRIX_DECIMALS, DistanceMatrix
 from .petri import SILENT, LocalProcessModel
 
-MATRIX_DECIMALS = 6
+
+def _fixed(value: float) -> str:
+    return f"{value:.{MATRIX_DECIMALS}f}"
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write(path: Path | str, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def _write_json(path: Path | str, payload: dict) -> None:
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def matrix_to_csv(matrix: DistanceMatrix) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", *matrix.ids])
-    for i, model_id in enumerate(matrix.ids):
-        writer.writerow(
-            [model_id, *(f"{matrix.values[i, j]:.{MATRIX_DECIMALS}f}" for j in range(len(matrix)))]
-        )
-    return buf.getvalue()
+    return _csv(
+        ["id", *matrix.ids],
+        ([model_id, *map(_fixed, row)] for model_id, row in zip(matrix.ids, matrix.values)),
+    )
 
 
 def _flags_path(path: Path) -> Path:
@@ -42,19 +61,13 @@ def export_matrix(matrix: DistanceMatrix, path: Path | str) -> None:
     """Write the distance CSV; approximate pairs go to a sibling flags file,
     which is removed when no pair is approximate."""
     path = Path(path)
-    path.write_text(matrix_to_csv(matrix), encoding="utf-8")
+    _write(path, matrix_to_csv(matrix))
     flags = _flags_path(path)
     if not matrix.approx.any():
         flags.unlink(missing_ok=True)
         return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id_a", "id_b"])
-    for i in range(len(matrix)):
-        for j in range(i + 1, len(matrix)):
-            if matrix.approx[i, j]:
-                writer.writerow([matrix.ids[i], matrix.ids[j]])
-    flags.write_text(buf.getvalue(), encoding="utf-8")
+    pairs = zip(*np.nonzero(np.triu(matrix.approx, 1)))
+    _write(flags, _csv(["id_a", "id_b"], ([matrix.ids[i], matrix.ids[j]] for i, j in pairs)))
 
 
 def load_matrix(path: Path | str, measure: str = "loaded") -> DistanceMatrix:
@@ -97,24 +110,51 @@ def export_clusters(
 ) -> None:
     """One CSV row per model: its cluster, rank, and representative flag."""
     rep_set = set(representatives)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["model_id", "cluster_id", "rank", "is_representative"])
-    for cluster_id, cluster in enumerate(clusters):
-        for model_id in sorted(cluster, key=lambda i: ranked.rank(i)):
-            writer.writerow(
-                [
-                    model_id,
-                    cluster_id,
-                    ranked.rank(model_id),
-                    "true" if model_id in rep_set else "false",
-                ]
-            )
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    rows = (
+        [model_id, cluster_id, ranked.rank(model_id), _flag(model_id in rep_set)]
+        for cluster_id, cluster in enumerate(clusters)
+        for model_id in sorted(cluster, key=ranked.rank)
+    )
+    _write(path, _csv(["model_id", "cluster_id", "rank", "is_representative"], rows))
 
 
-def _float_cell(value: float | None) -> str:
-    return "" if value is None else f"{value:.{MATRIX_DECIMALS}f}"
+def export_sweep(
+    result: SweepResult, representatives: Sequence[str], ranked: RankedModelSet,
+    measure: str, strategy: str, path: Path | str,
+) -> None:
+    """sweep.json: the selected clustering, its representatives, and every threshold's outcome."""
+    selected = result.selected
+    _write_json(path, {
+        "measure": measure,
+        "representative_strategy": strategy,
+        "selected_threshold": selected.threshold,
+        "selected_silhouette": selected.silhouette,
+        "cluster_count": len(selected.clusters),
+        "all_degenerate": result.all_degenerate,
+        "representatives": sorted(representatives),
+        "representative_ranks": map_ranks(representatives, ranked),
+        "thresholds": [
+            {"threshold": o.threshold, "cluster_count": len(o.clusters), "silhouette": o.silhouette}
+            for o in result.outcomes
+        ],
+    })
+
+
+def _cell(value: object, decimal: bool) -> object:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return _flag(value)
+    return _fixed(value) if decimal else value
+
+
+def _rows_csv(measure: str, cls: type, items: Sequence[object]) -> str:
+    """One row per dataclass item, ``measure`` first. Fields typed float get
+    six decimals whatever the value's type (an int threshold prints
+    1.000000), bools print true/false, and None prints an empty cell."""
+    columns = [(f.name, "float" in str(f.type)) for f in fields(cls)]
+    rows = ([measure, *(_cell(getattr(item, n), decimal) for n, decimal in columns)] for item in items)
+    return _csv(["measure", *(name for name, _ in columns)], rows)
 
 
 def export_reports(
@@ -125,67 +165,13 @@ def export_reports(
     """Write reduction_curve.csv, diversity.csv, and a combined report.json."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["measure", "n", "model_count", "representative_count", "threshold", "silhouette", "degenerate"])
-    for p in curve.points:
-        writer.writerow(
-            [
-                curve.measure,
-                p.n,
-                p.model_count,
-                p.representative_count,
-                _float_cell(p.threshold),
-                _float_cell(p.silhouette),
-                "true" if p.degenerate else "false",
-            ]
-        )
-    (out_dir / "reduction_curve.csv").write_text(buf.getvalue(), encoding="utf-8")
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["measure", "n", "original_count", "representative_count", "original_mean", "representative_mean"])
-    for e in diversity.entries:
-        writer.writerow(
-            [
-                diversity.measure,
-                e.n,
-                e.original_count,
-                e.representative_count,
-                _float_cell(e.original_mean),
-                _float_cell(e.representative_mean),
-            ]
-        )
-    (out_dir / "diversity.csv").write_text(buf.getvalue(), encoding="utf-8")
-
-    payload = {
+    _write(out_dir / "reduction_curve.csv", _rows_csv(curve.measure, CurvePoint, curve.points))
+    _write(out_dir / "diversity.csv", _rows_csv(diversity.measure, DiversityEntry, diversity.entries))
+    _write_json(out_dir / "report.json", {
         "measure": curve.measure,
-        "reduction_curve": [
-            {
-                "n": p.n,
-                "model_count": p.model_count,
-                "representative_count": p.representative_count,
-                "threshold": p.threshold,
-                "silhouette": p.silhouette,
-                "degenerate": p.degenerate,
-            }
-            for p in curve.points
-        ],
-        "diversity": [
-            {
-                "n": e.n,
-                "original_count": e.original_count,
-                "representative_count": e.representative_count,
-                "original_mean": e.original_mean,
-                "representative_mean": e.representative_mean,
-            }
-            for e in diversity.entries
-        ],
-    }
-    (out_dir / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        "reduction_curve": [asdict(p) for p in curve.points],
+        "diversity": [asdict(e) for e in diversity.entries],
+    })
 
 
 def _quote(name: str) -> str:
@@ -214,5 +200,5 @@ def export_dot(lpm: LocalProcessModel, path: Path | str | None = None) -> str:
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
+        _write(path, text)
     return text

@@ -35,6 +35,8 @@ from .petri import (
     eventually_follows,
 )
 
+MATRIX_DECIMALS = 6  # the CSV precision; matrices are rounded to it before clustering
+
 
 @dataclass(frozen=True)
 class MatrixParams:
@@ -104,11 +106,11 @@ class DistanceMatrix:
             approx=self.approx[np.ix_(idx, idx)].copy(),
         )
 
-    def rounded(self, decimals: int = 6) -> "DistanceMatrix":
+    def rounded(self) -> "DistanceMatrix":
         """Quantized copy, matching the CSV export precision."""
         return DistanceMatrix(
             ids=self.ids,
-            values=np.round(self.values, decimals),
+            values=np.round(self.values, MATRIX_DECIMALS),
             measure=self.measure,
             approx=self.approx.copy(),
         )

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, flags, exit codes, pipeline equivalence."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import lpmgroup
 from lpmgroup import write_pnml
 from lpmgroup.cli import main
-from genmodels import chain_lpm, planted_groups, with_isolated_transition
+from genmodels import chain_lpm, planted_groups, self_loop_star, with_isolated_transition
 
 
 def write_manifest(tmp_path, models, extra=None):
@@ -162,6 +163,47 @@ class TestDiversity:
         assert [p["n"] for p in report["reduction_curve"]] == [4, 12]
         assert [e["n"] for e in report["diversity"]] == [3, 6]
         assert (out / "clusters.csv").exists()
+
+
+class TestGoldenBytes:
+    """The sha256 of every file ``matrix``, ``cluster``, ``cluster --matrix``
+    and ``diversity`` write on one small manifest: planted groups plus a star
+    whose language exceeds the enumeration cap, so the flags file is written
+    too. A curve point at n = 1 puts empty cells and nulls into the reports."""
+
+    DIGESTS = {
+        "matrix/matrix_efg.csv": "47cb5eac686745f7e0f07b6a1dd31f90eedaa0f626e9197baa045a50d34c928d",
+        "matrix/matrix_efg_approx.csv": "af1f6fd5460b721bc7f4e7573f4827cb4d633ef83d3a6bfaf6c307971e9ba3d3",
+        "cluster/matrix_efg.csv": "47cb5eac686745f7e0f07b6a1dd31f90eedaa0f626e9197baa045a50d34c928d",
+        "cluster/matrix_efg_approx.csv": "af1f6fd5460b721bc7f4e7573f4827cb4d633ef83d3a6bfaf6c307971e9ba3d3",
+        "cluster/clusters.csv": "fafae3565ef11898268f41f2e11fde72885ed787f402e13979171e72669583ca",
+        "cluster/sweep.json": "750bb464bf3c2ad5c268064ac449008c648324fde0a35d3ac253c85a18b6e9d4",
+        "cached/clusters.csv": "fafae3565ef11898268f41f2e11fde72885ed787f402e13979171e72669583ca",
+        "cached/sweep.json": "750bb464bf3c2ad5c268064ac449008c648324fde0a35d3ac253c85a18b6e9d4",
+        "diversity/clusters.csv": "fafae3565ef11898268f41f2e11fde72885ed787f402e13979171e72669583ca",
+        "diversity/reduction_curve.csv": "722ab68daba0674bbfcd82e6b0909744dab95e2e5384cea204e8a1ffc874d3e2",
+        "diversity/diversity.csv": "1b37a62eeec99cae813bf661bae86a1a21f09f7816f3802a089e171a0d94efcc",
+        "diversity/report.json": "69fc5bc73cbf234ca84b7a216460a2cd2013e5624e928fd320de5674e8e350ab",
+    }
+
+    def test_every_output_file_is_pinned(self, tmp_path):
+        models = [*planted_groups(groups=2, copies=7).models, self_loop_star(4)]
+        manifest = write_manifest(tmp_path, models)
+        common = ["--manifest", str(manifest), "--measure", "efg", "--enum-cap", "50"]
+        runs = {
+            "matrix": ["matrix"],
+            "cluster": ["cluster"],
+            "cached": ["cluster", "--matrix", str(tmp_path / "matrix" / "matrix_efg.csv")],
+            "diversity": ["diversity", "--ns", "3,6", "--curve-ns", "1,4,15"],
+        }
+        for name, argv in runs.items():
+            assert main([*argv, *common, "--out", str(tmp_path / name)]) == 0
+        digests = {
+            f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+            for name in runs
+            for path in sorted((tmp_path / name).iterdir())
+        }
+        assert digests == self.DIGESTS
 
 
 class TestRender:

@@ -1,10 +1,13 @@
 """CSV/JSON/DOT exports: formats, round-trips, determinism."""
 
+import hashlib
+import json
 import random
 
 import numpy as np
 
 from lpmgroup import (
+    CurvePoint,
     DistanceMatrix,
     Measure,
     RankedModelSet,
@@ -15,6 +18,7 @@ from lpmgroup import (
     export_matrix,
     export_reports,
     load_matrix,
+    ReductionCurve,
     reduction_curve,
     representatives,
     sweep,
@@ -121,6 +125,44 @@ class TestReportExport:
         assert (tmp_path / "report.json").exists()
         header = (tmp_path / "reduction_curve.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header.split(",")[:4] == ["measure", "n", "model_count", "representative_count"]
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # n = 1 has no threshold or silhouette; an int threshold still gets
+        # six decimals; an empty diversity report still writes its header
+        curve = ReductionCurve(
+            measure="efg",
+            points=(
+                CurvePoint(n=1, model_count=1, representative_count=1, threshold=None,
+                           silhouette=None, degenerate=True),
+                CurvePoint(n=3, model_count=3, representative_count=2, threshold=1,
+                           silhouette=2 / 3, degenerate=False),
+            ),
+        )
+        ranked = planted_groups(groups=1, copies=2)
+        matrix = distance_matrix(ranked.models, Measure.EFG)
+        report = diversity_report(ranked, ranked, Measure.EFG, ns=(), matrix=matrix)
+        export_reports(curve, report, tmp_path)
+        assert (tmp_path / "reduction_curve.csv").read_text(encoding="utf-8") == (
+            "measure,n,model_count,representative_count,threshold,silhouette,degenerate\n"
+            "efg,1,1,1,,,true\n"
+            "efg,3,3,2,1.000000,0.666667,false\n"
+        )
+        assert (tmp_path / "diversity.csv").read_text(encoding="utf-8") == (
+            "measure,n,original_count,representative_count,original_mean,representative_mean\n"
+        )
+        assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8")) == {
+            "measure": "efg",
+            "reduction_curve": [
+                {"n": 1, "model_count": 1, "representative_count": 1, "threshold": None,
+                 "silhouette": None, "degenerate": True},
+                {"n": 3, "model_count": 3, "representative_count": 2, "threshold": 1,
+                 "silhouette": 2 / 3, "degenerate": False},
+            ],
+            "diversity": [],
+        }
+        # the digest also pins the layout and "threshold": 1 (not 1.0)
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == "e7c46efe5cd3aef656e3a210d8827aeab04f3dfd1d91cdd7fb3c1ba85495df7c"
 
 
 class TestDotExport:
