@@ -10,19 +10,24 @@ The search is exact while the expansion budget lasts; once exhausted it
 returns the best mapping found so far, flagged approximate. The result is
 independent of argument order: the pair is canonically oriented first.
 
-A pair is compiled once to integer indices, one node-cost table and arcs
-as index pairs. One routine scores the search's leaves and the seeded
-incumbent alike: the step costs of deciding A's nodes in order, plus B's
-unused nodes and unsettled arcs. Costs equal those of the former rescoring
-from node ids to 1e-9, with the same exact flags.
+A pair is compiled once to integer indices and lookup tables: the
+node-cost table, the arc directions between every two nodes of each model,
+the cost of deleting each A node and the column minima of the node costs
+below each search depth. One routine scores the search's leaves and the
+seeded incumbent alike: the step costs of deciding A's nodes in order, plus
+B's unused nodes and unsettled arcs.
+
+The incumbent comes from a node-cost-optimal assignment, solved by
+``_lsap_columns``: a line-for-line port of the shortest augmenting path
+solver scipy's ``linear_sum_assignment`` runs (Crouse 2016). It adds,
+subtracts and compares floats in scipy's order, so it returns scipy's
+columns, ties included. The module needs neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-
-import numpy as np
+from itertools import compress, repeat
 
 from .measures import DEFAULT_GED_BUDGET, _ordered, place_gain
 from .petri import LocalProcessModel
@@ -54,10 +59,20 @@ class _GedSearch:
         self.ns = [[node_cost(u, v) for v in nodes_b] for u in order_a]
         pos_a = {u: i for i, u in enumerate(order_a)}
         pos_b = {v: j for j, v in enumerate(nodes_b)}
-        self.arcs_a = {(pos_a[u], pos_a[w]) for u, w in net_a.arcs}
-        self.arcs_b = {(pos_b[v], pos_b[x]) for v, x in net_b.arcs}
+        arcs_a = {(pos_a[u], pos_a[w]) for u, w in net_a.arcs}
+        arcs_b = {(pos_b[v], pos_b[x]) for v, x in net_b.arcs}
+        self.n_arcs_b = len(arcs_b)
+        # per A node i: (i -> k, k -> i) for every earlier node k
+        self.a_dirs = [[((i, k) in arcs_a, (k, i) in arcs_a) for k in range(i)] for i in range(self.n_a)]
+        # per B node pair (j, l): (j -> l, l -> j), and how many arcs join them
+        self.b_dirs = [[((j, l) in arcs_b, (l, j) in arcs_b) for l in range(self.n_b)] for j in range(self.n_b)]
+        self.b_links = [[jl + lj for jl, lj in row] for row in self.b_dirs]
+        # deleting A node i also deletes its arcs to the earlier nodes
+        self.delete_cost = [1.0 + sum(ik + ki for ik, ki in dirs) for dirs in self.a_dirs]
+        # per depth idx: the minimum of each node-cost column over rows idx..
+        self.col_min = [list(map(min, zip(*self.ns[idx:]))) for idx in range(self.n_a)]
         # A-edges still unaccounted once the first idx nodes are decided
-        self.a_edges_rem = [sum(1 for i, k in self.arcs_a if max(i, k) >= idx) for idx in range(self.n_a + 1)]
+        self.a_edges_rem = [sum(1 for i, k in arcs_a if max(i, k) >= idx) for idx in range(self.n_a + 1)]
         self.expansions = 0
         self.exhausted = False
         # fallback: delete everything in A, insert everything in B
@@ -69,26 +84,15 @@ class _GedSearch:
         usually a far tighter upper bound than rebuilding everything."""
         if self.n_a == 0 or self.n_b == 0:
             return
-        from scipy.optimize import linear_sum_assignment  # deferred, see optimal_assignment
-
-        n_a, n_b = self.n_a, self.n_b
-        big = np.full((n_a + n_b, n_a + n_b), 1e6)
-        big[:n_a, :n_b] = self.ns
-        big[n_a:, n_b:] = 0.0
-        big[range(n_a), range(n_b, n_b + n_a)] = 1.0  # delete
-        big[range(n_a, n_a + n_b), range(n_b)] = 1.0  # insert
-        rows, cols = linear_sum_assignment(big)
-        mapping: list[int | None] = [None] * n_a
-        for r, c in zip(rows, cols):
-            if r < n_a and c < n_b:
-                mapping[r] = int(c)
+        cols = _lsap_columns(_bordered(self.ns, self.n_b))
+        mapping = [c if c < self.n_b else None for c in cols[: self.n_a]]
         self.best_cost = min(self.best_cost, self._score(mapping))
 
     def _score(self, mapping: list[int | None]) -> float:
         """Cost of a complete mapping, added up by the steps the search takes."""
         decided: list[int | None] = []
         unused = [True] * self.n_b
-        cost, b_edges_rem = 0.0, len(self.arcs_b)
+        cost, b_edges_rem = 0.0, self.n_arcs_b
         for j in mapping:
             cost += self._decide_cost(j, decided)
             if j is not None:
@@ -104,15 +108,15 @@ class _GedSearch:
 
     def _settled(self, j: int, unused: list[bool]) -> int:
         """B arcs between node j and the B nodes already used."""
-        arcs_b = self.arcs_b
-        return sum(((j, l) in arcs_b) + ((l, j) in arcs_b) for l, free in enumerate(unused) if not free)
+        links = self.b_links[j]
+        return sum(links) - sum(compress(links, unused))
 
     def _lower_bound(self, idx: int, unused: list[bool], b_edges_rem: int) -> float:
         rows = self.ns[idx:]
         ra, rb = len(rows), unused.count(True)
         if ra and rb:
-            row = sum(min(compress(r, unused)) for r in rows) + max(0, rb - ra)
-            col = sum(compress(map(min, zip(*rows)), unused)) + max(0, ra - rb)
+            row = sum(map(min, map(compress, rows, repeat(unused)))) + max(0, rb - ra)
+            col = sum(compress(self.col_min[idx], unused)) + max(0, ra - rb)
             node_bound = max(row, col)
         else:
             node_bound = float(ra + rb)
@@ -121,31 +125,29 @@ class _GedSearch:
     def _decide_cost(self, j: int | None, decided: list[int | None]) -> float:
         """Cost of mapping the next A node to B node j (None: deleting it)."""
         i = len(decided)
-        arcs_a, arcs_b, ns = self.arcs_a, self.arcs_b, self.ns
         if j is None:
-            return 1.0 + sum(((i, k) in arcs_a) + ((k, i) in arcs_a) for k in range(i))
+            return self.delete_cost[i]
+        ns = self.ns
         ns_ij = ns[i][j]
         cost = ns_ij
-        for k, l in enumerate(decided):
-            a_ik = (i, k) in arcs_a
-            a_ki = (k, i) in arcs_a
+        b_dirs = self.b_dirs[j]
+        for (a_ik, a_ki), ns_k, l in zip(self.a_dirs[i], ns, decided):
             if l is None:
                 cost += a_ik + a_ki
                 continue
-            b_jl = (j, l) in arcs_b
-            b_lj = (l, j) in arcs_b
+            b_jl, b_lj = b_dirs[l]
             if a_ik and b_jl:
-                cost += 0.5 * (ns_ij + ns[k][l])
+                cost += 0.5 * (ns_ij + ns_k[l])
             elif a_ik or b_jl:
                 cost += 1.0
             if a_ki and b_lj:
-                cost += 0.5 * (ns_ij + ns[k][l])
+                cost += 0.5 * (ns_ij + ns_k[l])
             elif a_ki or b_lj:
                 cost += 1.0
         return cost
 
     def run(self) -> GedResult:
-        self._dfs([], 0.0, [True] * self.n_b, len(self.arcs_b))
+        self._dfs([], 0.0, [True] * self.n_b, self.n_arcs_b)
         return GedResult(cost=self.best_cost, exact=not self.exhausted)
 
     def _dfs(self, decided: list[int | None], cost: float, unused: list[bool], b_edges_rem: int) -> None:
@@ -181,6 +183,80 @@ class _GedSearch:
                 unused[j] = True
             if self.exhausted:
                 return
+
+
+def _bordered(ns: list[list[float]], n_b: int) -> list[list[float]]:
+    """The square assignment matrix over node costs ``ns`` (n_a x n_b): A's
+    rows then n_b insertion rows, B's columns then n_a deletion columns.
+    Deleting or inserting costs 1 on its diagonal and 1e6 off it; pairing an
+    insertion with a deletion costs 0."""
+    n_a = len(ns)
+    big = [[1e6] * (n_a + n_b) for _ in range(n_a + n_b)]
+    for i in range(n_a):
+        big[i][:n_b] = ns[i]
+        big[i][n_b + i] = 1.0
+    for j in range(n_b):
+        big[n_a + j][j] = 1.0
+        big[n_a + j][n_b:] = [0.0] * n_a
+    return big
+
+
+def _lsap_columns(cost: list[list[float]]) -> list[int]:
+    """The column assigned to each row of a square cost matrix, at minimum total.
+
+    A port of scipy's ``rectangular_lsap`` (shortest augmenting paths with
+    dual updates, Crouse 2016) that keeps its loop order: the remaining
+    columns listed in reverse, ties going to a column no row holds yet, the
+    same dual updates and the same augmenting swap.
+    """
+    n = len(cost)
+    inf = float("inf")
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur_row in range(n):
+        # shortest augmenting path from cur_row to a free column (the sink)
+        remaining = list(range(n - 1, -1, -1))
+        num_remaining = n
+        on_path_row, on_path_col = [False] * n, [False] * n
+        shortest = [inf] * n
+        min_val, i, sink = 0.0, cur_row, -1
+        while sink == -1:
+            index, lowest = -1, inf
+            on_path_row[i] = True
+            row, u_i = cost[i], u[i]
+            for it in range(num_remaining):
+                j = remaining[it]
+                r = min_val + row[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            on_path_col[j] = True
+            num_remaining -= 1
+            remaining[index] = remaining[num_remaining]
+        u[cur_row] += min_val
+        for i in range(n):
+            if on_path_row[i] and i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(n):
+            if on_path_col[j]:
+                v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
 
 
 def ged_raw(a: LocalProcessModel, b: LocalProcessModel, budget: int = DEFAULT_GED_BUDGET) -> GedResult:

@@ -231,6 +231,10 @@ def distance_matrix(
             (measure.value, features, params, pairs[k::chunk_count]) for k in range(chunk_count)
         ]
         results: list[tuple[int, int, float, bool]] = []
+        if measure in (Measure.NODE, Measure.FULL):
+            # their pair kernels solve assignments: import scipy once here,
+            # so forked workers inherit it instead of each importing it
+            import scipy.optimize  # noqa: F401
         # under fork the pool starts every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(params.workers, os.cpu_count() or 1)) as pool:
             for part in pool.map(_pairs_chunk, chunks):

@@ -84,7 +84,8 @@ def optimal_assignment(gains: np.ndarray | Sequence[Sequence[float]]) -> Assignm
     if matrix.min() < 0.0 or matrix.max() > 1.0:
         raise ValueError("gain matrix entries must lie in [0, 1]")
     # Imported here, not at module level: scipy takes longer to import than
-    # the rest of the package, and only node, full and ged solve assignments.
+    # the rest of the package, and only node and full call this (ged seeds
+    # its search with the pure-Python port in ged.py).
     from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(matrix, maximize=True)

@@ -310,10 +310,10 @@ class TestErrors:
         assert "no measure" in capsys.readouterr().err
 
 
-def test_validate_and_efg_cluster_do_not_import_scipy(tmp_path):
-    # scipy is loaded only by the measures that solve an assignment (node,
-    # full, ged); a module-level import anywhere else would bring its import
-    # time back into every command.
+def test_validate_efg_and_ged_commands_do_not_import_scipy(tmp_path):
+    # scipy is loaded only by the measures that solve an assignment with it
+    # (node, full); a module-level import anywhere else would bring its
+    # import time back into every command.
     manifest = varied_manifest(tmp_path)
     script = f"""
 import sys
@@ -321,6 +321,9 @@ from lpmgroup.cli import main
 assert main(["validate", "--manifest", {str(manifest)!r}]) == 0
 assert main(["cluster", "--manifest", {str(manifest)!r}, "--measure", "efg", "--bound", "4",
              "--out", {str(tmp_path / "out")!r}]) == 0
+for command in ("cluster", "diversity"):
+    assert main([command, "--manifest", {str(manifest)!r}, "--measure", "ged", "--ged-budget", "500",
+                 "--out", {str(tmp_path / "ged")!r} + "-" + command]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(lpmgroup.__file__).resolve().parents[1])

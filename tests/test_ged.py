@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from lpmgroup import (
@@ -11,6 +12,7 @@ from lpmgroup import (
     ged_raw,
     similarity,
 )
+from lpmgroup.ged import _GedSearch, _bordered, _lsap_columns
 from genmodels import chain_lpm, random_lpm
 from oracles import oracle_ged
 
@@ -105,6 +107,98 @@ class TestGedRaw:
                 assert (result.cost, result.exact) == (pytest.approx(cost, abs=1e-9), exact), (k, budget)
                 approx_at[budget] += not result.exact
         assert approx_at[40] > 0 and approx_at[600] > 0
+
+    # float.hex of the cost and the exact flag at each of HEX_BUDGETS for
+    # seed-47 random_lpm pairs: a regrouped sum that moves the last bit of a
+    # cost fails here while the 1e-9 pins above still hold
+    HEX_BUDGETS = (40, 600, 5000)
+    HEX_PINS = [
+        [("0x1.c000000000000p+3", False), ("0x1.c000000000000p+3", True), ("0x1.c000000000000p+3", True)],
+        [("0x1.0000000000000p+4", False), ("0x1.e000000000000p+3", True), ("0x1.e000000000000p+3", True)],
+        [("0x1.caaaaaaaaaaabp+4", False), ("0x1.baaaaaaaaaaabp+4", False), ("0x1.baaaaaaaaaaabp+4", False)],
+        [("0x1.7000000000000p+4", False), ("0x1.6000000000000p+4", False), ("0x1.5d55555555555p+4", True)],
+        [("0x1.0555555555555p+5", False), ("0x1.0155555555555p+5", False), ("0x1.eaaaaaaaaaaaap+4", False)],
+        [("0x1.919999999999ap+4", False), ("0x1.919999999999ap+4", False), ("0x1.919999999999ap+4", False)],
+        [("0x1.2000000000000p+4", False), ("0x1.0000000000000p+4", True), ("0x1.0000000000000p+4", True)],
+        [("0x1.5aaaaaaaaaaabp+4", False), ("0x1.5aaaaaaaaaaabp+4", False), ("0x1.5aaaaaaaaaaabp+4", True)],
+        [("0x1.4000000000000p+3", False), ("0x1.4000000000000p+3", True), ("0x1.4000000000000p+3", True)],
+        [("0x1.24aaaaaaaaaabp+4", False), ("0x1.24aaaaaaaaaabp+4", False), ("0x1.24aaaaaaaaaabp+4", False)],
+        [("0x1.2d55555555556p+4", False), ("0x1.1a00000000000p+4", False), ("0x1.1a00000000000p+4", True)],
+        [("0x1.1d55555555556p+4", False), ("0x1.1d55555555556p+4", True), ("0x1.1d55555555556p+4", True)],
+        [("0x1.d800000000000p+4", False), ("0x1.d800000000000p+4", False), ("0x1.d800000000000p+4", False)],
+        [("0x1.32aaaaaaaaaabp+4", False), ("0x1.32aaaaaaaaaabp+4", False), ("0x1.32aaaaaaaaaabp+4", False)],
+        [("0x1.9400000000000p+4", False), ("0x1.8400000000000p+4", False), ("0x1.7aaaaaaaaaaaap+4", True)],
+        [("0x1.8333333333333p+4", False), ("0x1.8333333333333p+4", False), ("0x1.8333333333333p+4", False)],
+        [("0x1.4000000000000p+3", True), ("0x1.4000000000000p+3", True), ("0x1.4000000000000p+3", True)],
+        [("0x1.c333333333333p+4", False), ("0x1.c333333333333p+4", False), ("0x1.c333333333333p+4", False)],
+        [("0x1.3000000000000p+3", True), ("0x1.3000000000000p+3", True), ("0x1.3000000000000p+3", True)],
+        [("0x1.9000000000000p+4", True), ("0x1.9000000000000p+4", True), ("0x1.9000000000000p+4", True)],
+        [("0x1.d200000000000p+4", False), ("0x1.d200000000000p+4", False), ("0x1.d000000000000p+4", False)],
+        [("0x1.6000000000000p+4", False), ("0x1.5000000000000p+4", False), ("0x1.5000000000000p+4", True)],
+        [("0x1.4000000000000p+3", True), ("0x1.4000000000000p+3", True), ("0x1.4000000000000p+3", True)],
+        [("0x1.1000000000000p+4", False), ("0x1.0000000000000p+4", False), ("0x1.0000000000000p+4", True)],
+        [("0x1.f000000000000p+4", False), ("0x1.e000000000000p+4", False), ("0x1.e000000000000p+4", False)],
+        [("0x1.4c00000000000p+4", False), ("0x1.4c00000000000p+4", False), ("0x1.4c00000000000p+4", True)],
+        [("0x1.9555555555556p+3", False), ("0x1.7800000000000p+3", True), ("0x1.7800000000000p+3", True)],
+        [("0x1.daaaaaaaaaaabp+4", False), ("0x1.caaaaaaaaaaabp+4", False), ("0x1.caaaaaaaaaaabp+4", False)],
+        [("0x1.7155555555556p+4", False), ("0x1.7155555555556p+4", False), ("0x1.7155555555556p+4", True)],
+        [("0x1.6155555555556p+4", False), ("0x1.6155555555556p+4", False), ("0x1.6155555555556p+4", False)],
+        [("0x1.ac00000000000p+4", False), ("0x1.9c00000000000p+4", False), ("0x1.9c00000000000p+4", False)],
+        [("0x1.0a00000000000p+5", False), ("0x1.0a00000000000p+5", False), ("0x1.0a00000000000p+5", False)],
+        [("0x1.9e00000000000p+4", False), ("0x1.9e00000000000p+4", False), ("0x1.8e00000000000p+4", False)],
+        [("0x1.a000000000000p+4", False), ("0x1.a000000000000p+4", False), ("0x1.9000000000000p+4", False)],
+        [("0x1.6c00000000000p+4", False), ("0x1.5c00000000000p+4", False), ("0x1.5c00000000000p+4", False)],
+        [("0x1.0800000000000p+4", False), ("0x1.c000000000000p+3", False), ("0x1.c000000000000p+3", True)],
+        [("0x1.5955555555556p+4", False), ("0x1.5955555555556p+4", False), ("0x1.5955555555556p+4", True)],
+        [("0x1.32aaaaaaaaaabp+4", False), ("0x1.32aaaaaaaaaabp+4", True), ("0x1.32aaaaaaaaaabp+4", True)],
+        [("0x1.1c00000000000p+3", False), ("0x1.1c00000000000p+3", True), ("0x1.1c00000000000p+3", True)],
+        [("0x1.ee00000000000p+4", False), ("0x1.de00000000000p+4", False), ("0x1.de00000000000p+4", False)],
+    ]
+
+    def test_costs_are_pinned_bit_for_bit(self):
+        rng = random.Random(47)
+        for k, pins in enumerate(self.HEX_PINS):
+            a = random_lpm(rng, f"a{k}", max_transitions=8, max_places=6)
+            b = random_lpm(rng, f"b{k}", max_transitions=8, max_places=6)
+            got = []
+            for budget in self.HEX_BUDGETS:
+                result = ged_raw(a, b, budget=budget)
+                got.append((result.cost.hex(), result.exact))
+            assert got == pins, k
+
+
+class TestIncumbentAssignment:
+    """The search's incumbent comes from a port of scipy's assignment
+    solver; scipy, imported only here, is its oracle, ties included."""
+
+    ENTRIES = {
+        "small-integer-ties": lambda rng: float(rng.randint(0, 3)),
+        "fractions-and-big": lambda rng: rng.choice((0.0, 0.5, 1 / 3, 2 / 3, 1.0, 1e6)),
+        "uniform": lambda rng: rng.random(),
+    }
+
+    @pytest.mark.parametrize("kind", list(ENTRIES))
+    def test_port_returns_scipys_columns(self, kind):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = random.Random(f"lsap:{kind}")
+        entry = self.ENTRIES[kind]
+        for _ in range(1700):
+            n = rng.randint(1, 20)
+            cost = [[entry(rng) for _ in range(n)] for _ in range(n)]
+            assert _lsap_columns(cost) == linear_sum_assignment(np.array(cost))[1].tolist(), cost
+
+    def test_port_returns_scipys_columns_on_bordered_ged_matrices(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = random.Random(71)
+        for k in range(200):
+            a = random_lpm(rng, f"a{k}", max_transitions=8, max_places=6)
+            b = random_lpm(rng, f"b{k}", max_transitions=8, max_places=6)
+            search = _GedSearch(a, b, budget=1)
+            cost = _bordered(search.ns, search.n_b)
+            assert len(cost) == search.n_a + search.n_b
+            assert _lsap_columns(cost) == linear_sum_assignment(np.array(cost))[1].tolist(), k
 
 
 class TestSimGed:
