@@ -123,18 +123,15 @@ def _resolve_measure(args, manifest) -> Measure:
 
 
 def _resolve_params(args, manifest, measure: Measure) -> MatrixParams:
+    given = {"bound": manifest.bound} if manifest.bound is not None else {}
     for name in ("bound", "lang_cap", "enum_cap", "ged_budget"):
-        if getattr(args, name) is not None and name not in MEASURES[measure].reads:
-            flag = "--" + name.replace("_", "-")
-            print(f"notice: {flag} has no effect for measure {measure.value}; ignored", file=sys.stderr)
+        if getattr(args, name) is not None:
+            given[name] = getattr(args, name)
+            if name not in MEASURES[measure].reads:
+                flag = "--" + name.replace("_", "-")
+                print(f"notice: {flag} has no effect for measure {measure.value}; ignored", file=sys.stderr)
     try:
-        return MatrixParams(
-            bound=args.bound if args.bound is not None else (manifest.bound or DEFAULT_BOUND),
-            lang_cap=args.lang_cap if args.lang_cap is not None else DEFAULT_LANG_CAP,
-            enum_cap=args.enum_cap if args.enum_cap is not None else DEFAULT_ENUM_CAP,
-            ged_budget=args.ged_budget if args.ged_budget is not None else DEFAULT_GED_BUDGET,
-            workers=max(1, args.workers),
-        )
+        return MatrixParams(**given, workers=max(1, args.workers))
     except ValueError as exc:
         raise CliError(str(exc)) from None
 

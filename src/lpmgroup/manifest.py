@@ -69,12 +69,14 @@ def read_manifest(path: Path | str) -> Manifest:
         if not isinstance(item, dict):
             raise ManifestError(f"models[{k}] is not an object")
         try:
-            model_id = str(item["id"])
+            model_id = item["id"]
             rel = str(item["path"])
             rank = item["rank"]
         except KeyError as exc:
             raise ManifestError(f"models[{k}] is missing {exc}") from exc
-        if not isinstance(rank, int) or rank < 1:
+        if not isinstance(model_id, str) or not model_id:
+            raise ManifestError(f"models[{k}] id must be a non-empty string")
+        if type(rank) is not int or rank < 1:  # not isinstance: JSON true is a bool, an int subclass
             raise ManifestError(f"models[{k}] rank must be a positive integer")
         entries.append(ManifestEntry(id=model_id, path=(path.parent / rel).resolve(), rank=rank))
     by_id: dict[str, str] = {}
@@ -92,7 +94,7 @@ def read_manifest(path: Path | str) -> Manifest:
     if missing:
         raise ManifestError(f"model files not found: {missing}")
     bound = raw.get("bound")
-    if bound is not None and (not isinstance(bound, int) or bound < 1):
+    if bound is not None and (type(bound) is not int or bound < 1):
         raise ManifestError("bound must be a positive integer")
     measure = raw.get("measure")
     if measure is not None:

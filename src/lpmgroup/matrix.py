@@ -76,7 +76,7 @@ class DistanceMatrix:
             raise ValueError("model ids must be unique")
         if values.shape != (n, n) or self.approx.shape != (n, n):
             raise ValueError("matrix shape does not match the id list")
-        if not np.allclose(values, values.T, atol=0.0):
+        if not np.array_equal(values, values.T):
             raise ValueError("distance matrix must be symmetric")
         if np.any(np.diag(values) != 0.0):
             raise ValueError("self-distances must be zero")
@@ -174,15 +174,12 @@ def similarity(
     measure: Measure | str,
     a: LocalProcessModel,
     b: LocalProcessModel,
-    *,
-    bound: int = DEFAULT_BOUND,
-    lang_cap: int = DEFAULT_LANG_CAP,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    ged_budget: int = DEFAULT_GED_BUDGET,
+    **params,
 ) -> float:
-    """Similarity of one model pair under the named measure."""
+    """Similarity of one model pair under the named measure; ``params`` are
+    ``MatrixParams`` fields."""
     spec = MEASURES[Measure(measure)]
-    params = MatrixParams(bound=bound, lang_cap=lang_cap, enum_cap=enum_cap, ged_budget=ged_budget)
+    params = MatrixParams(**params)
     fa, _ = spec.featurize(a, params)
     fb, _ = spec.featurize(b, params)
     return spec.compare(fa, fb, params)[0]

@@ -106,19 +106,8 @@ def place_gain(net_a: LabeledPetriNet, p1: str, net_b: LabeledPetriNet, p2: str)
     The surrounding label sets keep silent labels; a silent transition is
     part of a place's structural context even though it is not an activity.
     """
-    return 0.5 * dice(net_a.preset_labels(p1), net_b.preset_labels(p2)) + 0.5 * dice(
-        net_a.postset_labels(p1), net_b.postset_labels(p2)
-    )
-
-
-def _place_gain_matrix(net_a: LabeledPetriNet, net_b: LabeledPetriNet) -> np.ndarray:
-    places_a = sorted(net_a.places)
-    places_b = sorted(net_b.places)
-    gains = np.zeros((len(places_a), len(places_b)))
-    for i, p1 in enumerate(places_a):
-        for j, p2 in enumerate(places_b):
-            gains[i, j] = place_gain(net_a, p1, net_b, p2)
-    return gains
+    (pre_a, post_a), (pre_b, post_b) = net_a.context(p1), net_b.context(p2)
+    return 0.5 * dice(pre_a, pre_b) + 0.5 * dice(post_a, post_b)
 
 
 def sim_node(a: LocalProcessModel, b: LocalProcessModel) -> float:
@@ -129,7 +118,10 @@ def sim_node(a: LocalProcessModel, b: LocalProcessModel) -> float:
     denom = len(labels_a) + len(labels_b) + len(a.net.places) + len(b.net.places)
     if denom == 0:
         return 1.0
-    g_places = optimal_assignment(_place_gain_matrix(a.net, b.net)).total_gain
+    places_b = sorted(b.net.places)
+    g_places = optimal_assignment(
+        [[place_gain(a.net, p1, b.net, p2) for p2 in places_b] for p1 in sorted(a.net.places)]
+    ).total_gain
     return (2.0 * len(labels_a & labels_b) + 2.0 * g_places) / denom
 
 
@@ -147,9 +139,7 @@ def _full_from_traces(traces_a: Sequence[Trace], traces_b: Sequence[Trace]) -> f
         return 0.0
     if (len(traces_b), tuple(traces_b)) < (len(traces_a), tuple(traces_a)):
         traces_a, traces_b = traces_b, traces_a
-    gains = np.zeros((len(traces_a), len(traces_b)))
-    for i, t1 in enumerate(traces_a):
-        for j, t2 in enumerate(traces_b):
-            gains[i, j] = 1.0 - normalized_levenshtein(t1, t2)
-    g_traces = optimal_assignment(gains).total_gain
+    g_traces = optimal_assignment(
+        [[1.0 - normalized_levenshtein(t1, t2) for t2 in traces_b] for t1 in traces_a]
+    ).total_gain
     return 2.0 * g_traces / (len(traces_a) + len(traces_b))

@@ -76,6 +76,11 @@ class LabeledPetriNet:
         object.__setattr__(self, "_pre", {n: frozenset(s) for n, s in pre.items()})
         object.__setattr__(self, "_post", {n: frozenset(s) for n, s in post.items()})
         object.__setattr__(self, "_key", self._fingerprint())
+        named = self.labels.__getitem__
+        object.__setattr__(self, "_context", {
+            p: (frozenset(map(named, pre[p])), frozenset(map(named, post[p]))) for p in self.places
+        })
+        object.__setattr__(self, "_activities", frozenset(self.labels.values()) - {SILENT})
 
     def _check(self) -> None:
         overlap = self.places & self.transitions
@@ -113,15 +118,12 @@ class LabeledPetriNet:
 
     def activity_labels(self) -> frozenset[str]:
         """Non-silent labels carried by the transitions."""
-        return frozenset(l for l in self.labels.values() if not is_silent(l))
+        return self._activities  # type: ignore[attr-defined]
 
-    def preset_labels(self, place: str) -> frozenset[str]:
-        """Labels (silent included) of the transitions feeding ``place``."""
-        return frozenset(self.labels[t] for t in self.preset(place))
-
-    def postset_labels(self, place: str) -> frozenset[str]:
-        """Labels (silent included) of the transitions consuming from ``place``."""
-        return frozenset(self.labels[t] for t in self.postset(place))
+    def context(self, place: str) -> tuple[frozenset[str], frozenset[str]]:
+        """Labels (silent included) of the transitions feeding ``place`` and
+        of those consuming from it, compiled once with the net."""
+        return self._context[place]  # type: ignore[attr-defined]
 
     @property
     def size(self) -> int:
@@ -453,7 +455,7 @@ def eventually_follows(
         raise ValueError("bound must be >= 1")
     rule = _FiringRule(lpm.net, lpm.initial.places() | lpm.final.places())
     enabled_in, fire_in = rule.enabled, rule.fire
-    names = sorted({lpm.net.labels[t] for t in rule.transitions} - {SILENT})
+    names = sorted(lpm.net.activity_labels())
     slot = {name: i for i, name in enumerate(names)}
     label = [slot.get(lpm.net.labels[t], -1) for t in rule.transitions]  # -1: silent
     bit = [1 << i if i >= 0 else 0 for i in label]

@@ -247,11 +247,12 @@ class TestErrors:
             (None, None),
             ("id,m1,m2\nm2,0,0\nm1,0,0\n", None),
             ("id,m1,m2\nm1,0,0.5\nm2,0.4,0\n", None),
+            ("id,m1,m2\nm1,0,0.500000\nm2,0.500004,0\n", None),
             ("id,m1,m2\nm1,0,x\nm2,x,0\n", None),
             ("id,m1,m2\nm1,0,0\nm2,0,0\n", "id_a,id_b\nm1,m9\n"),
             ("id,m1,m2\nm1,0,0\nm2,0,0\n", "id_a,id_b\nm1\n"),
         ],
-        ids=["missing", "row-order", "asymmetric", "non-numeric", "flags-unknown-id", "flags-malformed"],
+        ids=["missing", "row-order", "asymmetric", "near-symmetric", "non-numeric", "flags-unknown-id", "flags-malformed"],
     )
     def test_bad_cached_matrix_exits_one(self, tmp_path, capsys, csv_text, flags_text):
         manifest = identical_manifest(tmp_path, count=2)
@@ -303,6 +304,20 @@ class TestErrors:
             if flag not in read
         ]
         assert capsys.readouterr().err.splitlines() == expected
+
+    @pytest.mark.parametrize(
+        "top, entry, field",
+        [({"bound": True}, {}, "bound"), ({}, {"rank": True}, "rank"), ({}, {"id": None}, "id")],
+        ids=["bound-true", "rank-true", "id-null"],
+    )
+    def test_mistyped_manifest_value_exits_one(self, tmp_path, capsys, top, entry, field):
+        manifest = identical_manifest(tmp_path)
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        data.update(top)
+        data["models"][0].update(entry)
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["validate", "--manifest", str(manifest)]) == 1
+        assert f"{field} must be a" in capsys.readouterr().err
 
     def test_no_measure_anywhere_exits_one(self, tmp_path, capsys):
         manifest = identical_manifest(tmp_path)

@@ -81,3 +81,32 @@ class TestLoadManifest:
         path = write_models(tmp_path, models)
         loaded = load_manifest(path)
         assert len(loaded.ranked) == 600
+
+
+class TestManifestTypes:
+    """JSON values that Python would coerce are refused, not reinterpreted:
+    ``true`` is not rank or bound 1, and ``null`` is not the id "None"."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("rank", True, "rank must be a positive integer"),
+            ("rank", 1.0, "rank must be a positive integer"),
+            ("id", None, "id must be a non-empty string"),
+            ("id", "", "id must be a non-empty string"),
+            ("id", 7, "id must be a non-empty string"),
+        ],
+    )
+    def test_bad_entry_field(self, tmp_path, field, value, message):
+        path = write_models(tmp_path, [chain_lpm("m1", ["a"]), chain_lpm("m2", ["b"])])
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["models"][1][field] = value
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ManifestError, match=rf"models\[1\] {message}"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("bound", [True, 0, 2.5, "3"])
+    def test_bad_bound(self, tmp_path, bound):
+        path = write_models(tmp_path, [chain_lpm("m1", ["a"])], extra={"bound": bound})
+        with pytest.raises(ManifestError, match="bound must be a positive integer"):
+            load_manifest(path)

@@ -26,9 +26,12 @@ class TestDistanceMatrixType:
             DistanceMatrix(ids=("a", "a"), values=np.zeros((2, 2)), measure="transition")
 
     def test_rejects_asymmetry(self):
-        values = np.array([[0.0, 0.3], [0.4, 0.0]])
-        with pytest.raises(ValueError):
-            DistanceMatrix(ids=("a", "b"), values=values, measure="transition")
+        # the second matrix is within numpy's default relative tolerance of
+        # symmetric; symmetry is exact or the matrix is refused
+        for upper, lower in ((0.3, 0.4), (0.5, 0.500004)):
+            values = np.array([[0.0, upper], [lower, 0.0]])
+            with pytest.raises(ValueError, match="symmetric"):
+                DistanceMatrix(ids=("a", "b"), values=values, measure="transition")
 
     def test_rejects_nonzero_diagonal(self):
         values = np.array([[0.1, 0.3], [0.3, 0.0]])

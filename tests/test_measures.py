@@ -248,3 +248,81 @@ class TestAxiomsAndDistance:
                 s_ba = similarity(measure, b, a, **kwargs)
                 assert s_ab == s_ba  # bit-exact symmetry
                 assert 0.0 <= s_ab <= 1.0
+
+
+class TestBitExactPins:
+    """``float.hex`` of ``node`` and ``full`` similarities on seeded pairs,
+    recorded before place contexts were compiled once per net. Any change to
+    how the gains are built or summed must keep every bit."""
+
+    NODE_HEX = [
+        "0x1.f07c1f07c1f07p-3", "0x1.9e79e79e79e79p-2", "0x0.0p+0", "0x1.2612612612612p-2",
+        "0x0.0p+0", "0x1.47ae147ae147bp-5", "0x0.0p+0", "0x0.0p+0",
+        "0x1.f49f49f49f49fp-3", "0x1.d555555555555p-2", "0x0.0p+0", "0x1.1000000000000p-1",
+        "0x0.0p+0", "0x1.9e79e79e79e79p-2", "0x0.0p+0", "0x1.41d41d41d41d5p-2",
+        "0x1.8000000000000p-3", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-1",
+        "0x0.0p+0", "0x1.2aaaaaaaaaaabp-2", "0x1.8e38e38e38e38p-2", "0x1.47ae147ae147bp-1",
+        "0x0.0p+0", "0x1.0000000000000p-2", "0x1.6aaaaaaaaaaaap-2", "0x1.cf3cf3cf3cf3dp-3",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.1c71c71c71c72p-1",
+        "0x0.0p+0", "0x0.0p+0", "0x1.9191919191918p-2", "0x0.0p+0",
+        "0x1.4000000000000p-2", "0x1.0fd8fd8fd8fd9p-2", "0x1.c71c71c71c71cp-2", "0x0.0p+0",
+        "0x0.0p+0", "0x1.097b425ed097bp-2", "0x1.5555555555555p-2", "0x1.bed61bed61bedp-3",
+        "0x0.0p+0", "0x1.6f96f96f96f96p-2", "0x1.5a35a35a35a36p-2", "0x1.0000000000000p-2",
+        "0x1.d555555555555p-3", "0x1.6c16c16c16c16p-2", "0x0.0p+0", "0x1.0000000000000p-2",
+        "0x1.0000000000000p-2", "0x1.745d1745d1746p-3", "0x1.c71c71c71c71cp-2", "0x1.45d1745d1745dp-2",
+        "0x0.0p+0", "0x0.0p+0", "0x1.eb851eb851eb8p-3", "0x0.0p+0",
+        "0x0.0p+0", "0x1.425ed097b425ep-1", "0x1.aaaaaaaaaaaabp-3", "0x0.0p+0",
+        "0x1.9999999999999p-3", "0x0.0p+0", "0x0.0p+0", "0x1.f07c1f07c1f07p-3",
+        "0x1.4141414141414p-3", "0x1.5a95a95a95a96p-2", "0x1.4924924924925p-2", "0x1.7a17a17a17a17p-3",
+        "0x1.1745d1745d174p-2", "0x1.823ee08fb823ep-2", "0x1.4141414141414p-3", "0x1.097b425ed097bp-2",
+        "0x1.6666666666666p-1", "0x1.74d74d74d74d7p-2", "0x0.0p+0", "0x1.5555555555555p-4",
+        "0x0.0p+0", "0x1.2f684bda12f68p-5", "0x1.56343eb1a1f59p-1", "0x0.0p+0",
+        "0x0.0p+0", "0x1.0d79435e50d79p-2", "0x1.f07c1f07c1f07p-3", "0x1.e4b17e4b17e4bp-2",
+        "0x0.0p+0", "0x1.684bda12f684cp-2", "0x1.f81f81f81f820p-2", "0x1.0b60b60b60b61p-1",
+        "0x1.7297297297297p-2", "0x1.7373737373737p-2", "0x1.ddddddddddddep-2", "0x1.a5a5a5a5a5a5ap-2",
+        "0x0.0p+0", "0x0.0p+0", "0x1.f2df2df2df2dfp-2", "0x0.0p+0",
+    ]
+    FULL_HEX = [
+        "0x1.642c8590b2164p-5", "0x1.c71c71c71c71cp-4", "0x1.2492492492492p-4", "0x0.0p+0",
+        "0x1.3333333333333p-4", "0x1.d89d89d89d89ep-4", "0x1.0000000000000p-3", "0x0.0p+0",
+        "0x1.0000000000000p-3", "0x1.c30c30c30c30dp-2", "0x0.0p+0", "0x1.1c71c71c71c72p-1",
+        "0x1.999999999999ap-4", "0x0.0p+0", "0x1.3b13b13b13b14p-4", "0x1.999999999999ap-3",
+        "0x1.999999999999ap-3", "0x0.0p+0", "0x1.0690690690691p-4", "0x1.8618618618619p-3",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0690690690691p-3", "0x1.ddddddddddddep-3",
+    ]
+
+    @staticmethod
+    def node_pairs():
+        rng = random.Random(61)
+        for k in range(100):
+            # every eighth A side has at most two transitions: nets without places
+            small = 2 if k % 8 == 0 else 8
+            yield (
+                random_lpm(rng, f"a{k}", max_transitions=small, max_places=6),
+                random_lpm(rng, f"b{k}", max_transitions=8, max_places=6),
+            )
+
+    @staticmethod
+    def full_pairs():
+        # consecutive models with a non-empty language at bound 5
+        rng = random.Random(21)
+        live = []
+        while len(live) < 48:
+            model = random_lpm(rng, f"m{len(live)}", max_transitions=8, max_places=6)
+            if bounded_language(model, 5).traces - {()}:
+                live.append(model)
+        return list(zip(live[::2], live[1::2]))
+
+    def test_node_is_pinned_bit_for_bit(self):
+        pairs = list(self.node_pairs())
+        assert [similarity("node", a, b).hex() for a, b in pairs] == self.NODE_HEX
+        nets = [net for a, b in pairs for net in (a.net, b.net)]
+        assert any(not net.places for net in nets)
+        assert any(
+            SILENT in pre | post for net in nets for pre, post in map(net.context, net.places)
+        )
+        assert any(len(a.net.places) != len(b.net.places) for a, b in pairs)
+
+    def test_full_is_pinned_bit_for_bit(self):
+        got = [similarity("full", a, b, bound=5).hex() for a, b in self.full_pairs()]
+        assert got == self.FULL_HEX
