@@ -60,7 +60,7 @@ class RankedModelSet:
         if set(ranks) != set(ids):
             raise ValueError("ranks must cover exactly the model ids")
         values = list(ranks.values())
-        if any(not isinstance(r, int) or r < 1 for r in values):
+        if any(type(r) is not int or r < 1 for r in values):  # not isinstance: True is an int
             raise ValueError("ranks must be positive integers")
         if len(set(values)) != len(values):
             raise ValueError("ranks must be unique")

@@ -7,15 +7,21 @@ its matching gain. Node and edge insertions/deletions cost 1; substituting
 an edge costs the average of its endpoints' substitution costs.
 
 The search is exact while the expansion budget lasts; once exhausted it
-returns the best mapping found so far, flagged approximate. The result is
-independent of argument order: the pair is canonically oriented first.
+returns the best mapping found so far, flagged approximate. The result
+counts the search nodes expanded and is independent of argument order: the
+pair is canonically oriented first.
 
 A pair is compiled once to integer indices and lookup tables: the
-node-cost table, the arc directions between every two nodes of each model,
-the cost of deleting each A node and the column minima of the node costs
-below each search depth. One routine scores the search's leaves and the
-seeded incumbent alike: the step costs of deciding A's nodes in order, plus
-B's unused nodes and unsettled arcs.
+node-cost table, the arc directions between every two A nodes, per B node
+the bitmasks of its arc targets and sources, the cost of deleting each A
+node and the column minima of the node costs below each search depth. The
+search state is the decided prefix, its cost, the used B nodes as one
+bitmask and the count of B arcs not between two used nodes. Nets are
+bipartite, so that count, and with it the lower bound, depends on the depth
+and the used B nodes alone: the bound is memoized on that key, up to a
+fixed number of entries per pair, and a cached bound is the very float a
+recomputation gives. One routine gives the step costs of deciding A's next
+node, for the search's candidates and the seeded incumbent alike.
 
 The incumbent comes from a node-cost-optimal assignment, solved by
 ``_lsap_columns``: a line-for-line port of the shortest augmenting path
@@ -32,11 +38,15 @@ from itertools import compress, repeat
 from .measures import DEFAULT_GED_BUDGET, _ordered, place_gain
 from .petri import LocalProcessModel
 
+# bound memo entries kept per pair, whatever the expansion budget
+_BOUND_MEMO_CAP = 1 << 16
+
 
 @dataclass(frozen=True)
 class GedResult:
     cost: float
     exact: bool
+    expansions: int = 0  # search nodes expanded; 0 for the identity shortcut
 
 
 class _GedSearch:
@@ -60,19 +70,21 @@ class _GedSearch:
         pos_a = {u: i for i, u in enumerate(order_a)}
         pos_b = {v: j for j, v in enumerate(nodes_b)}
         arcs_a = {(pos_a[u], pos_a[w]) for u, w in net_a.arcs}
-        arcs_b = {(pos_b[v], pos_b[x]) for v, x in net_b.arcs}
-        self.n_arcs_b = len(arcs_b)
+        self.n_arcs_b = len(net_b.arcs)
         # per A node i: (i -> k, k -> i) for every earlier node k
         self.a_dirs = [[((i, k) in arcs_a, (k, i) in arcs_a) for k in range(i)] for i in range(self.n_a)]
-        # per B node pair (j, l): (j -> l, l -> j), and how many arcs join them
-        self.b_dirs = [[((j, l) in arcs_b, (l, j) in arcs_b) for l in range(self.n_b)] for j in range(self.n_b)]
-        self.b_links = [[jl + lj for jl, lj in row] for row in self.b_dirs]
+        # per B node j: the bitmasks of the nodes l with j -> l and with l -> j
+        self.b_out, self.b_in = [0] * self.n_b, [0] * self.n_b
+        for v, x in net_b.arcs:
+            self.b_out[pos_b[v]] |= 1 << pos_b[x]
+            self.b_in[pos_b[x]] |= 1 << pos_b[v]
         # deleting A node i also deletes its arcs to the earlier nodes
         self.delete_cost = [1.0 + sum(ik + ki for ik, ki in dirs) for dirs in self.a_dirs]
         # per depth idx: the minimum of each node-cost column over rows idx..
         self.col_min = [list(map(min, zip(*self.ns[idx:]))) for idx in range(self.n_a)]
         # A-edges still unaccounted once the first idx nodes are decided
         self.a_edges_rem = [sum(1 for i, k in arcs_a if max(i, k) >= idx) for idx in range(self.n_a + 1)]
+        self.bounds: dict[int, float] = {}  # _lower_bound by (idx << n_b) | used
         self.expansions = 0
         self.exhausted = False
         # fallback: delete everything in A, insert everything in B
@@ -91,27 +103,31 @@ class _GedSearch:
     def _score(self, mapping: list[int | None]) -> float:
         """Cost of a complete mapping, added up by the steps the search takes."""
         decided: list[int | None] = []
-        unused = [True] * self.n_b
-        cost, b_edges_rem = 0.0, self.n_arcs_b
+        cost, used, b_left = 0.0, 0, self.n_arcs_b
         for j in mapping:
-            cost += self._decide_cost(j, decided)
-            if j is not None:
-                b_edges_rem -= self._settled(j, unused)
-                unused[j] = False
+            if j is None:
+                cost += self.delete_cost[len(decided)]
+            else:
+                cost += self._step_costs(decided, [j])[0]
+                used, b_left = used | 1 << j, b_left - self._arcs_to_used(j, used)
             decided.append(j)
-        return self._total(cost, unused, b_edges_rem)
+        return self._total(cost, used, b_left)
 
-    @staticmethod
-    def _total(cost: float, unused: list[bool], b_edges_rem: int) -> float:
+    def _total(self, cost: float, used: int, b_left: int) -> float:
         """A complete mapping's cost: its steps, then B's inserted nodes and arcs."""
-        return cost + unused.count(True) + b_edges_rem
+        return cost + (self.n_b - used.bit_count()) + b_left
 
-    def _settled(self, j: int, unused: list[bool]) -> int:
-        """B arcs between node j and the B nodes already used."""
-        links = self.b_links[j]
-        return sum(links) - sum(compress(links, unused))
+    def _arcs_to_used(self, j: int, used: int) -> int:
+        """B arcs between node j and the used B nodes: those using j settles."""
+        return (self.b_out[j] & used).bit_count() + (self.b_in[j] & used).bit_count()
 
-    def _lower_bound(self, idx: int, unused: list[bool], b_edges_rem: int) -> float:
+    def _lower_bound(self, idx: int, used: int, b_left: int) -> float:
+        """Bound on the cost to come after A's first idx nodes, memoized on (idx, used)."""
+        key = idx << self.n_b | used
+        bound = self.bounds.get(key)
+        if bound is not None:
+            return bound
+        unused = [not used >> j & 1 for j in range(self.n_b)]
         rows = self.ns[idx:]
         ra, rb = len(rows), unused.count(True)
         if ra and rb:
@@ -120,46 +136,51 @@ class _GedSearch:
             node_bound = max(row, col)
         else:
             node_bound = float(ra + rb)
-        return node_bound + abs(self.a_edges_rem[idx] - b_edges_rem)
+        bound = node_bound + abs(self.a_edges_rem[idx] - b_left)
+        if len(self.bounds) < _BOUND_MEMO_CAP:
+            self.bounds[key] = bound
+        return bound
 
-    def _decide_cost(self, j: int | None, decided: list[int | None]) -> float:
-        """Cost of mapping the next A node to B node j (None: deleting it)."""
+    def _step_costs(self, decided: list[int | None], js: list[int]) -> list[float]:
+        """Cost of mapping the next A node i to each B node j in js: its node
+        cost, then the arcs between i and each decided node k, in k order;
+        ``bit_l`` is the bit of k's B node l, 0 when k is deleted."""
         i = len(decided)
-        if j is None:
-            return self.delete_cost[i]
-        ns = self.ns
-        ns_ij = ns[i][j]
-        cost = ns_ij
-        b_dirs = self.b_dirs[j]
-        for (a_ik, a_ki), ns_k, l in zip(self.a_dirs[i], ns, decided):
-            if l is None:
-                cost += a_ik + a_ki
-                continue
-            b_jl, b_lj = b_dirs[l]
-            if a_ik and b_jl:
-                cost += 0.5 * (ns_ij + ns_k[l])
-            elif a_ik or b_jl:
-                cost += 1.0
-            if a_ki and b_lj:
-                cost += 0.5 * (ns_ij + ns_k[l])
-            elif a_ki or b_lj:
-                cost += 1.0
-        return cost
+        ns_i = self.ns[i]
+        ctx = [(a_ik, a_ki, 0, 0.0) if l is None else (a_ik, a_ki, 1 << l, ns_k[l])
+               for (a_ik, a_ki), ns_k, l in zip(self.a_dirs[i], self.ns, decided)]
+        costs = []
+        for j in js:
+            ns_ij = cost = ns_i[j]
+            out_j, in_j = self.b_out[j], self.b_in[j]
+            for a_ik, a_ki, bit_l, ns_kl in ctx:
+                if not bit_l:
+                    cost += a_ik + a_ki
+                    continue
+                b_jl, b_lj = out_j & bit_l, in_j & bit_l
+                if a_ik and b_jl:
+                    cost += 0.5 * (ns_ij + ns_kl)
+                elif a_ik or b_jl:
+                    cost += 1.0
+                if a_ki and b_lj:
+                    cost += 0.5 * (ns_ij + ns_kl)
+                elif a_ki or b_lj:
+                    cost += 1.0
+            costs.append(cost)
+        return costs
 
     def run(self) -> GedResult:
-        self._dfs([], 0.0, [True] * self.n_b, self.n_arcs_b)
-        return GedResult(cost=self.best_cost, exact=not self.exhausted)
+        self._dfs([], 0.0, 0, self.n_arcs_b)
+        return GedResult(cost=self.best_cost, exact=not self.exhausted, expansions=self.expansions)
 
-    def _dfs(self, decided: list[int | None], cost: float, unused: list[bool], b_edges_rem: int) -> None:
-        if self.exhausted:
-            return
+    def _dfs(self, decided: list[int | None], cost: float, used: int, b_left: int) -> None:
         idx = len(decided)
         if idx == self.n_a:
-            self.best_cost = min(self.best_cost, self._total(cost, unused, b_edges_rem))
+            self.best_cost = min(self.best_cost, self._total(cost, used, b_left))
             return
         # step cost, then map before delete, then B id order
-        candidates = [(self._decide_cost(j, decided), 0, j) for j, free in enumerate(unused) if free]
-        candidates.append((self._decide_cost(None, decided), 1, None))
+        free = [j for j in range(self.n_b) if not used >> j & 1]
+        candidates = [*zip(self._step_costs(decided, free), repeat(0), free), (self.delete_cost[idx], 1, None)]
         candidates.sort()
         for step_cost, _, j in candidates:
             if self.expansions >= self.budget:
@@ -168,21 +189,15 @@ class _GedSearch:
             self.expansions += 1
             new_cost = cost + step_cost
             if j is None:
-                if new_cost + self._lower_bound(idx + 1, unused, b_edges_rem) >= self.best_cost:
-                    continue
-                decided.append(None)
-                self._dfs(decided, new_cost, unused, b_edges_rem)
-                decided.pop()
+                new_used, new_left = used, b_left
             else:
-                new_rem = b_edges_rem - self._settled(j, unused)
-                unused[j] = False
-                if new_cost + self._lower_bound(idx + 1, unused, new_rem) < self.best_cost:
-                    decided.append(j)
-                    self._dfs(decided, new_cost, unused, new_rem)
-                    decided.pop()
-                unused[j] = True
-            if self.exhausted:
-                return
+                new_used, new_left = used | 1 << j, b_left - self._arcs_to_used(j, used)
+            if new_cost + self._lower_bound(idx + 1, new_used, new_left) < self.best_cost:
+                decided.append(j)
+                self._dfs(decided, new_cost, new_used, new_left)
+                decided.pop()
+                if self.exhausted:
+                    return
 
 
 def _bordered(ns: list[list[float]], n_b: int) -> list[list[float]]:

@@ -231,6 +231,12 @@ class TestRepresentatives:
         )
         assert repr_rank(frozenset({"m3", "m9"}), ranked) == "m9"
 
+    @pytest.mark.parametrize("bad", [True, 0, -1, 1.0, "1"])
+    def test_ranks_must_be_positive_ints_and_not_bools(self, bad):
+        models = (chain_lpm("m1", ["a"]), chain_lpm("m2", ["a"]))
+        with pytest.raises(ValueError, match="positive integers"):
+            RankedModelSet(models=models, ranks={"m1": bad, "m2": 2})
+
     def test_repr_rank_singleton(self):
         ranked = self.rank_fixture()
         assert repr_rank(frozenset({"m1"}), ranked) == "m1"

@@ -28,7 +28,7 @@ class TestGedRaw:
     def test_identity_costs_nothing(self):
         a = chain_lpm("a", ["x", "y", "z"])
         result = ged_raw(a, a)
-        assert result.cost == 0.0 and result.exact
+        assert result.cost == 0.0 and result.exact and result.expansions == 0
 
     def test_single_substitution_beats_delete_insert(self):
         result = ged_raw(single_transition("a", "a"), single_transition("b", "b"))
@@ -165,6 +165,129 @@ class TestGedRaw:
                 result = ged_raw(a, b, budget=budget)
                 got.append((result.cost.hex(), result.exact))
             assert got == pins, k
+
+    # search nodes expanded at each of HEX_BUDGETS for the same seed-47
+    # pairs: equal counts at every budget mean the search took the same
+    # path, not only that it ended at the same cost
+    HEX_EXPANSIONS = [
+        (40, 65, 65),
+        (40, 110, 110),
+        (40, 600, 5000),
+        (40, 600, 1256),
+        (40, 600, 5000),
+        (40, 600, 5000),
+        (40, 161, 161),
+        (40, 600, 1487),
+        (40, 83, 83),
+        (40, 600, 5000),
+        (40, 600, 4132),
+        (40, 181, 181),
+        (40, 600, 5000),
+        (40, 600, 5000),
+        (40, 600, 4250),
+        (40, 600, 5000),
+        (6, 6, 6),
+        (40, 600, 5000),
+        (40, 40, 40),
+        (13, 13, 13),
+        (40, 600, 5000),
+        (40, 600, 1978),
+        (37, 37, 37),
+        (40, 600, 602),
+        (40, 600, 5000),
+        (40, 600, 1122),
+        (40, 322, 322),
+        (40, 600, 5000),
+        (40, 600, 1328),
+        (40, 600, 5000),
+        (40, 600, 5000),
+        (40, 600, 5000),
+        (40, 600, 5000),
+        (40, 600, 5000),
+        (40, 600, 5000),
+        (40, 600, 1496),
+        (40, 600, 2005),
+        (40, 195, 195),
+        (40, 173, 173),
+        (40, 600, 5000),
+    ]
+
+    def test_search_path_is_pinned(self):
+        rng = random.Random(47)
+        for k, (pins, expansions) in enumerate(zip(self.HEX_PINS, self.HEX_EXPANSIONS, strict=True)):
+            a = random_lpm(rng, f"a{k}", max_transitions=8, max_places=6)
+            b = random_lpm(rng, f"b{k}", max_transitions=8, max_places=6)
+            got = []
+            for budget in self.HEX_BUDGETS:
+                result = ged_raw(a, b, budget=budget)
+                got.append((result.cost.hex(), result.exact, result.expansions))
+            assert got == [(*pin, n) for pin, n in zip(pins, expansions)], k
+
+
+class _RecordingSearch(_GedSearch):
+    """Records (idx, used, b_left, bound) at every lower-bound call."""
+
+    def __init__(self, *args):
+        self.calls = []
+        super().__init__(*args)
+
+    def _lower_bound(self, idx, used, b_left):
+        bound = super()._lower_bound(idx, used, b_left)
+        self.calls.append((idx, used, b_left, bound))
+        return bound
+
+
+class TestSearchState:
+    """The search keeps the used B nodes in a bitmask, counts B's unsettled
+    arcs from per-node arc bitmasks and memoizes its lower bound per
+    (depth, used B nodes); each must equal a recount from scratch."""
+
+    @staticmethod
+    def searches(seed, budget):
+        """200 seeded pairs, each with a search that records its bounds."""
+        rng = random.Random(seed)
+        for k in range(200):
+            a = random_lpm(rng, f"a{k}", max_transitions=6, max_places=4)
+            b = random_lpm(rng, f"b{k}", max_transitions=6, max_places=4)
+            yield a, b, _RecordingSearch(a, b, budget)
+
+    @staticmethod
+    def arcs_left(b, used):
+        """B arcs with an endpoint outside ``used``, by brute force."""
+        pos = {v: j for j, v in enumerate(sorted(b.net.places | b.net.transitions))}
+        return sum(1 for v, x in b.net.arcs if not (used >> pos[v] & 1 and used >> pos[x] & 1))
+
+    def test_unsettled_arc_count_matches_brute_force_on_every_mask(self):
+        for _, b, search in self.searches(seed=53, budget=1):
+            left = [self.arcs_left(b, used) for used in range(1 << search.n_b)]
+            for used in range(1, 1 << search.n_b):
+                for j in range(search.n_b):
+                    if used >> j & 1:  # reach used by using j last
+                        before = used & ~(1 << j)
+                        assert left[before] - search._arcs_to_used(j, before) == left[used], (b.id, used, j)
+
+    def test_memoized_bound_equals_a_fresh_recomputation_wherever_visited(self):
+        hits = 0
+        for a, b, search in self.searches(seed=59, budget=400):
+            search.run()
+            fresh = _GedSearch(a, b, budget=0)
+            for idx, used, b_left, bound in search.calls:
+                assert b_left == self.arcs_left(b, used), (b.id, idx, used)
+                fresh.bounds.clear()
+                assert fresh._lower_bound(idx, used, b_left) == bound, (b.id, idx, used)
+            hits += len(search.calls) - len(search.bounds)
+        assert hits > 0
+
+    def test_memo_cap_changes_no_result(self, monkeypatch):
+        rng = random.Random(61)
+        pairs = [(random_lpm(rng, f"a{k}", max_transitions=8, max_places=6),
+                  random_lpm(rng, f"b{k}", max_transitions=8, max_places=6)) for k in range(10)]
+        uncapped = [ged_raw(a, b, budget=3000) for a, b in pairs]
+        monkeypatch.setattr("lpmgroup.ged._BOUND_MEMO_CAP", 16)
+        assert [ged_raw(a, b, budget=3000) for a, b in pairs] == uncapped
+        search = _GedSearch(*pairs[0], budget=3000)
+        search.run()
+        assert len(search.bounds) == 16
 
 
 class TestIncumbentAssignment:
