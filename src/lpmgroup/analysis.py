@@ -9,12 +9,14 @@ the n best-ranked originals against the n best-ranked representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .clustering import DEFAULT_THRESHOLDS, RankedModelSet, sweep
-from .matrix import DistanceMatrix, distance_matrix
+from .manifest import RankedModelSet
 from .measures import Measure
 from .petri import LocalProcessModel
+
+if TYPE_CHECKING:  # clustering and matrix load numpy: imported where they are used
+    from .matrix import DistanceMatrix
 
 DEFAULT_CURVE_NS: tuple[int, ...] = (5, 10, 20, 50, 100, 500)
 DEFAULT_DIVERSITY_NS: tuple[int, ...] = (5, 10, 50, 100)
@@ -86,13 +88,15 @@ def _full_matrix(
         if missing:
             raise ValueError(f"matrix does not cover models {sorted(missing)}")
         return matrix
+    from .matrix import distance_matrix
+
     return distance_matrix(ranked.models, measure)
 
 
 def reduction_curve(
     ranked: RankedModelSet,
     measure: Measure | str,
-    thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
+    thresholds: Sequence[float] | None = None,
     ns: Sequence[int] = DEFAULT_CURVE_NS,
     matrix: DistanceMatrix | None = None,
 ) -> ReductionCurve:
@@ -101,9 +105,13 @@ def reduction_curve(
     Each prefix is clustered on its own (sliced) distance matrix; a
     precomputed matrix covering the ranked set short-circuits the pairwise
     computation, which otherwise runs with the default ``MatrixParams``.
+    ``thresholds`` defaults to ``DEFAULT_THRESHOLDS``.
     """
+    from .clustering import DEFAULT_THRESHOLDS, sweep
+
     if not ns:
         raise ValueError("ns must be non-empty")
+    thresholds = DEFAULT_THRESHOLDS if thresholds is None else thresholds
     measure = Measure(measure)
     full = _full_matrix(ranked, measure, matrix)
     points = []

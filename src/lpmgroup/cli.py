@@ -10,8 +10,10 @@ produce identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .analysis import (
     DEFAULT_CURVE_NS,
@@ -20,12 +22,14 @@ from .analysis import (
     map_ranks,
     reduction_curve,
 )
-from .clustering import representatives, sweep
-from .exports import export_clusters, export_dot, export_matrix, export_reports, export_sweep, load_matrix
 from .manifest import ManifestError, load_manifest
-from .matrix import MEASURES, DistanceMatrix, MatrixParams, distance_matrix
 from .measures import DEFAULT_GED_BUDGET, DEFAULT_LANG_CAP, Measure
 from .petri import DEFAULT_BOUND, DEFAULT_ENUM_CAP
+
+# matrix, clustering and exports load numpy, so each command imports them
+# where it uses them: validate needs none of them.
+if TYPE_CHECKING:
+    from .matrix import DistanceMatrix, MatrixParams
 
 
 class CliError(Exception):
@@ -38,12 +42,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_thresholds(spec: str) -> tuple[float, ...]:
+    from .matrix import MATRIX_DECIMALS
+
     try:
         lo, hi, step = (float(part) for part in spec.split(":"))
     except ValueError:
         raise CliError(f"bad threshold spec {spec!r}, expected lo:hi:step") from None
-    if not (0.0 <= lo <= hi <= 1.0) or step <= 0.0:
+    if not 0.0 <= lo <= hi <= 1.0:
         raise CliError(f"threshold spec {spec!r} out of range")
+    if not 10.0**-MATRIX_DECIMALS <= step < math.inf:  # a finer step cannot separate quantized distances
+        raise CliError(f"threshold step in {spec!r} must be finite and at least 1e-{MATRIX_DECIMALS}")
     values = []
     k = 0
     while True:
@@ -123,6 +131,8 @@ def _resolve_measure(args, manifest) -> Measure:
 
 
 def _resolve_params(args, manifest, measure: Measure) -> MatrixParams:
+    from .matrix import MEASURES, MatrixParams
+
     given = {"bound": manifest.bound} if manifest.bound is not None else {}
     for name in ("bound", "lang_cap", "enum_cap", "ged_budget"):
         if getattr(args, name) is not None:
@@ -159,17 +169,27 @@ def _cmd_validate(args) -> int:
     return 0 if not loaded.skipped else 1
 
 
+def _out_dir(args) -> Path:
+    """The --out directory, created."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # FileExistsError when --out names a file
+        raise CliError(f"cannot create output directory {out}: {exc}") from None
+    return out
+
+
 def _setup(args):
     """The models, the measure and the created --out directory of matrix, cluster and diversity."""
     loaded = _load(args)
     measure = _resolve_measure(args, loaded.manifest)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return loaded, measure, out
+    return loaded, measure, _out_dir(args)
 
 
 def _compute_matrix(args, loaded, measure: Measure) -> DistanceMatrix:
     """The distance matrix, rounded to the CSV precision."""
+    from .matrix import distance_matrix
+
     params = _resolve_params(args, loaded.manifest, measure)
     if len(loaded.ranked) < 2:
         raise CliError("need at least two valid models")
@@ -177,6 +197,8 @@ def _compute_matrix(args, loaded, measure: Measure) -> DistanceMatrix:
 
 
 def _cmd_matrix(args) -> int:
+    from .exports import export_matrix
+
     loaded, measure, out = _setup(args)
     matrix = _compute_matrix(args, loaded, measure)
     path = out / f"matrix_{measure.value}.csv"
@@ -187,6 +209,9 @@ def _cmd_matrix(args) -> int:
 
 def _select_clusters(args, loaded, matrix, thresholds, out: Path):
     """Sweep, pick representatives of the selected clustering, write clusters.csv."""
+    from .clustering import representatives, sweep
+    from .exports import export_clusters
+
     result = sweep(matrix, thresholds)
     reps = representatives(result.selected.clusters, args.repr_strategy, loaded.ranked, matrix)
     export_clusters(result.selected.clusters, reps, loaded.ranked, out / "clusters.csv")
@@ -194,6 +219,9 @@ def _select_clusters(args, loaded, matrix, thresholds, out: Path):
 
 
 def _cmd_cluster(args) -> int:
+    from .exports import export_matrix, export_sweep, load_matrix
+
+    thresholds = _parse_thresholds(args.thresholds)
     loaded, measure, out = _setup(args)
     if args.matrix:
         try:
@@ -205,7 +233,7 @@ def _cmd_cluster(args) -> int:
     else:
         matrix = _compute_matrix(args, loaded, measure)
         export_matrix(matrix, out / f"matrix_{measure.value}.csv")
-    result, reps = _select_clusters(args, loaded, matrix, _parse_thresholds(args.thresholds), out)
+    result, reps = _select_clusters(args, loaded, matrix, thresholds, out)
     export_sweep(result, reps, loaded.ranked, measure.value, args.repr_strategy, out / "sweep.json")
     selected = result.selected
     print(f"{len(selected.clusters)} clusters at threshold {selected.threshold}")
@@ -220,13 +248,15 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_diversity(args) -> int:
+    from .exports import export_reports
+
+    thresholds, curve_ns, ns = _parse_thresholds(args.thresholds), _parse_ns(args.curve_ns), _parse_ns(args.ns)
     loaded, measure, out = _setup(args)
     matrix = _compute_matrix(args, loaded, measure)
-    thresholds = _parse_thresholds(args.thresholds)
     result, reps = _select_clusters(args, loaded, matrix, thresholds, out)
-    curve = reduction_curve(loaded.ranked, measure, thresholds, _parse_ns(args.curve_ns), matrix=matrix)
+    curve = reduction_curve(loaded.ranked, measure, thresholds, curve_ns, matrix=matrix)
     repr_ranked = loaded.ranked.subset(reps)
-    diversity = diversity_report(loaded.ranked, repr_ranked, measure, _parse_ns(args.ns), matrix=matrix)
+    diversity = diversity_report(loaded.ranked, repr_ranked, measure, ns, matrix=matrix)
     export_reports(curve, diversity, out)
     print(
         f"{len(loaded.ranked)} models -> {len(reps)} representatives "
@@ -239,9 +269,10 @@ def _cmd_diversity(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .exports import export_dot
+
     loaded = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     models = loaded.ranked.models
     if args.model is not None:
         models = tuple(m for m in models if m.id == args.model)

@@ -22,8 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Mapping
 
-from .clustering import RankedModelSet
 from .petri import LocalProcessModel, validate_lpm
 from .pnml import PnmlError, parse_pnml_file
 
@@ -47,6 +47,56 @@ class Manifest:
 
 
 @dataclass(frozen=True)
+class RankedModelSet:
+    """Models with a total, injective rank map (1 = best)."""
+
+    models: tuple[LocalProcessModel, ...]
+    ranks: Mapping[str, int]
+
+    def __init__(self, models: Iterable[LocalProcessModel], ranks: Mapping[str, int]):
+        models = tuple(models)
+        ranks = dict(ranks)
+        ids = [m.id for m in models]
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate model ids")
+        if set(ranks) != set(ids):
+            raise ValueError("ranks must cover exactly the model ids")
+        values = list(ranks.values())
+        if any(type(r) is not int or r < 1 for r in values):  # not isinstance: True is an int
+            raise ValueError("ranks must be positive integers")
+        if len(set(values)) != len(values):
+            raise ValueError("ranks must be unique")
+        object.__setattr__(self, "models", models)
+        object.__setattr__(self, "ranks", ranks)
+
+    def __len__(self) -> int:
+        return len(self.models)
+
+    def model(self, model_id: str) -> LocalProcessModel:
+        for m in self.models:
+            if m.id == model_id:
+                return m
+        raise KeyError(f"unknown model id {model_id!r}")
+
+    def rank(self, model_id: str) -> int:
+        return self.ranks[model_id]
+
+    def ids_by_rank(self) -> tuple[str, ...]:
+        return tuple(sorted(self.ranks, key=self.ranks.get))
+
+    def subset(self, ids: Iterable[str]) -> "RankedModelSet":
+        """Sub-set keeping the original ranks of the surviving members."""
+        wanted = set(ids)
+        unknown = wanted - set(self.ranks)
+        if unknown:
+            raise KeyError(f"unknown model ids: {sorted(unknown)}")
+        return RankedModelSet(
+            models=tuple(m for m in self.models if m.id in wanted),
+            ranks={i: r for i, r in self.ranks.items() if i in wanted},
+        )
+
+
+@dataclass(frozen=True)
 class LoadedModels:
     manifest: Manifest
     ranked: RankedModelSet
@@ -59,7 +109,11 @@ def read_manifest(path: Path | str) -> Manifest:
     if not path.exists():
         raise ManifestError(f"manifest {path} does not exist")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("models"), list):

@@ -11,7 +11,6 @@ regardless of worker count or scheduling.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -232,6 +231,9 @@ def distance_matrix(
             # their pair kernels solve assignments: import scipy once here,
             # so forked workers inherit it instead of each importing it
             import scipy.optimize  # noqa: F401
+        # imported only here: sequential runs never load the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         # under fork the pool starts every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(params.workers, os.cpu_count() or 1)) as pool:
             for part in pool.map(_pairs_chunk, chunks):

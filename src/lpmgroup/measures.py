@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, AbstractSet, Sequence
 
 from .petri import BoundedLanguage, LabeledPetriNet, LocalProcessModel, Trace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_LANG_CAP = 1000
 DEFAULT_GED_BUDGET = 1_000_000
@@ -74,6 +75,11 @@ def optimal_assignment(gains: np.ndarray | Sequence[Sequence[float]]) -> Assignm
     Unmatched rows or columns of the larger side contribute zero gain,
     matching the zero-padded square formulation.
     """
+    # numpy and scipy are imported here, not at module level: they take
+    # longer to import than the rest of the package, and only node and full
+    # call this (ged seeds its search with the pure-Python port in ged.py).
+    import numpy as np
+
     matrix = np.asarray(gains, dtype=float)
     if matrix.size == 0:
         return Assignment((), 0.0)
@@ -83,9 +89,6 @@ def optimal_assignment(gains: np.ndarray | Sequence[Sequence[float]]) -> Assignm
         raise ValueError("gain matrix entries must be finite")
     if matrix.min() < 0.0 or matrix.max() > 1.0:
         raise ValueError("gain matrix entries must lie in [0, 1]")
-    # Imported here, not at module level: scipy takes longer to import than
-    # the rest of the package, and only node and full call this (ged seeds
-    # its search with the pure-Python port in ged.py).
     from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(matrix, maximize=True)

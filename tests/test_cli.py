@@ -5,12 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpmgroup
-from lpmgroup import write_pnml
+from lpmgroup import Measure, write_pnml
 from lpmgroup.cli import main
 from genmodels import chain_lpm, planted_groups, self_loop_star, with_isolated_transition
 
@@ -73,6 +76,16 @@ class TestValidate:
     def test_missing_manifest_exits_one(self, tmp_path, capsys):
         assert main(["validate", "--manifest", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_manifest_naming_a_directory_exits_one(self, tmp_path, capsys):
+        assert main(["validate", "--manifest", str(tmp_path)]) == 1
+        assert "cannot read manifest" in capsys.readouterr().err
+
+    def test_manifest_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'{"models": []}\xff')
+        assert main(["validate", "--manifest", str(manifest)]) == 1
+        assert "cannot read manifest" in capsys.readouterr().err
 
 
 class TestCluster:
@@ -324,26 +337,160 @@ class TestErrors:
         assert main(["matrix", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
         assert "no measure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["matrix", "cluster", "diversity", "render"])
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys, command):
+        manifest = identical_manifest(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        measure = [] if command == "render" else ["--measure", "transition"]
+        assert main([command, "--manifest", str(manifest), *measure, "--out", str(taken)]) == 1
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["0:1:inf", "0:1:nan", "0:1:1e-7", "0:1:1e-12"])
+    @pytest.mark.parametrize("command", ["cluster", "diversity"])
+    def test_unusable_threshold_step_exits_one_quickly(self, tmp_path, capsys, command, spec):
+        # a step below the matrix precision cannot separate quantized distances
+        manifest = identical_manifest(tmp_path)
+        start = time.perf_counter()
+        code = main([
+            command, "--manifest", str(manifest), "--measure", "transition",
+            "--thresholds", spec, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert time.perf_counter() - start < 2.0
+        assert "threshold step" in capsys.readouterr().err
+
+    def test_threshold_step_at_matrix_precision_is_accepted(self, tmp_path):
+        manifest = identical_manifest(tmp_path)
+        out = tmp_path / "o"
+        assert main([
+            "cluster", "--manifest", str(manifest), "--measure", "transition",
+            "--thresholds", "0.5:0.500002:1e-6", "--out", str(out),
+        ]) == 0
+        sweep = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
+        assert [o["threshold"] for o in sweep["thresholds"]] == [0.5, 0.500001, 0.500002]
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """Manifests, a cached matrix and a plain file for the CLI fuzz test."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, models in {
+        "good": [chain_lpm("m1", ["a", "b"]), chain_lpm("m2", ["a", "c"]), chain_lpm("m3", ["d"])],
+        "one": [chain_lpm("m1", ["a"])],
+        "mixed": [chain_lpm("m1", ["a"]), with_isolated_transition(chain_lpm("m2", ["b"]))],
+    }.items():
+        (root / name).mkdir()
+        write_manifest(root / name, models)
+    (root / "not-utf8.json").write_bytes(b'{"models": []}\xff')
+    (root / "bad.json").write_text("{not json", encoding="utf-8")
+    (root / "file").write_text("", encoding="utf-8")
+    argv = ["matrix", "--manifest", str(root / "good" / "manifest.json"), "--measure", "transition"]
+    assert main([*argv, "--out", str(root / "cached")]) == 0
+    return root
+
+
+_FUZZ_PATHS = {  # under the fuzz root; the first one is usable
+    "--manifest": [
+        "good/manifest.json", "one/manifest.json", "mixed/manifest.json", "not-utf8.json", "bad.json", ".",
+        "missing.json",
+    ],
+    "--matrix": ["cached/matrix_transition.csv", "bad.json", "not-utf8.json", ".", "missing.csv"],
+    "--out": ["out", "file", "file/sub"],
+}
+_FUZZ_VALUES = {
+    "--measure": [m.value for m in Measure] + ["nope"],
+    "--bound": ["3", "0", "-1", "x"],
+    "--lang-cap": ["5", "0"],
+    "--enum-cap": ["50", "0"],
+    "--ged-budget": ["100", "0"],
+    "--workers": ["1", "0", "-2", "x"],
+    "--thresholds": [
+        "0.1:1.0:0.1", "0:0:0.1", "0:1:inf", "0:1:nan", "0:1:1e-7", "0:1:1e-12", "1:0:0.1", "0:1:-0.1",
+        "0:1", "a:b:c",
+    ],
+    "--ns": ["2", "1,3", "0", "", "x"],
+    "--curve-ns": ["2", "1,3", "0", ""],
+    "--repr": ["rank", "dist", "best"],
+    "--model": ["m1", "zz"],
+}
+_MEASURE_FLAGS = ["--bound", "--lang-cap", "--enum-cap", "--ged-budget", "--workers"]
+_FUZZ_FLAGS = {  # the optional flags each command takes
+    "validate": [],
+    "matrix": _MEASURE_FLAGS,
+    "cluster": _MEASURE_FLAGS + ["--matrix", "--thresholds", "--repr"],
+    "diversity": _MEASURE_FLAGS + ["--thresholds", "--repr", "--ns", "--curve-ns"],
+    "render": ["--model"],
+}
+
+
+@st.composite
+def _cli_argv(draw, root):
+    """Mostly well-formed command lines, so that most draws get past argument parsing."""
+
+    def path(flag):
+        choices = _FUZZ_PATHS[flag]
+        return str(root / draw(st.just(choices[0]) | st.sampled_from(choices)))
+
+    def value(flag):
+        drawn = draw(st.sampled_from(_FUZZ_VALUES[flag] + [None]))
+        return draw(st.text(max_size=4)) if drawn is None else drawn
+
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [command, "--manifest", path("--manifest")]
+    if command != "validate":
+        argv += ["--out", path("--out")]
+    if _FUZZ_FLAGS[command][:1] == ["--bound"]:
+        argv += ["--measure", value("--measure")]
+    own = draw(st.lists(st.sampled_from(_FUZZ_FLAGS[command]), unique=True)) if _FUZZ_FLAGS[command] else []
+    foreign = draw(st.lists(st.sampled_from(sorted(_FUZZ_PATHS) + sorted(_FUZZ_VALUES)), max_size=1))
+    for flag in own + foreign:
+        argv += [flag, path(flag) if flag in _FUZZ_PATHS else value(flag)]
+    return argv + draw(st.lists(st.sampled_from(["--skip-invalid", "--strict"]), unique=True))
+
+
+@settings(max_examples=200, database=None, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_returns_an_exit_code_and_never_raises(fuzz_root, data):
+    argv = data.draw(_cli_argv(fuzz_root))
+    assert main(argv) in (0, 1, 2)
+
 
 def test_validate_efg_and_ged_commands_do_not_import_scipy(tmp_path):
     # scipy is loaded only by the measures that solve an assignment with it
-    # (node, full); a module-level import anywhere else would bring its
-    # import time back into every command.
+    # (node, full), numpy only by the commands past validate, and the process
+    # pool only for --workers > 1; a module-level import anywhere else would
+    # bring its import time back into every command.
     manifest = varied_manifest(tmp_path)
     script = f"""
 import sys
 from lpmgroup.cli import main
+
+def loaded(*names):
+    return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
+
 assert main(["validate", "--manifest", {str(manifest)!r}]) == 0
+unwanted = [loaded("numpy", "scipy", "concurrent.futures.process")]
 assert main(["cluster", "--manifest", {str(manifest)!r}, "--measure", "efg", "--bound", "4",
-             "--out", {str(tmp_path / "out")!r}]) == 0
+             "--workers", "1", "--out", {str(tmp_path / "out")!r}]) == 0
 for command in ("cluster", "diversity"):
     assert main([command, "--manifest", {str(manifest)!r}, "--measure", "ged", "--ged-budget", "500",
                  "--out", {str(tmp_path / "ged")!r} + "-" + command]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+unwanted.append(loaded("scipy", "concurrent.futures.process"))
+print(unwanted)
 """
     src = str(Path(lpmgroup.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
     )
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[-1] == "[[], []]"
+
+
+def test_package_exports_resolve_on_first_use():
+    for name in lpmgroup.__all__:
+        getattr(lpmgroup, name)
+    assert set(lpmgroup.__all__) <= set(dir(lpmgroup))
+    assert lpmgroup.RankedModelSet is lpmgroup.clustering.RankedModelSet
+    with pytest.raises(AttributeError):
+        lpmgroup.no_such_name

@@ -109,7 +109,7 @@ class TestDistanceMatrixComputation:
 
     @pytest.mark.parametrize("cpus, expected", [(2, 2), (None, 1)])
     def test_pool_size_is_bounded_by_cpu_count(self, monkeypatch, cpus, expected):
-        import lpmgroup.matrix as matrix_module
+        import concurrent.futures
 
         sizes = []
 
@@ -126,7 +126,8 @@ class TestDistanceMatrixComputation:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(matrix_module, "ProcessPoolExecutor", InProcessPool)
+        # distance_matrix imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         rng = random.Random(59)
         models = [random_lpm(rng, f"m{k}", max_transitions=4, max_places=3) for k in range(5)]
@@ -139,8 +140,8 @@ class TestDistanceMatrixComputation:
         # forked workers inherit the parent's modules, so the parent imports
         # scipy for the assignment measures; efg must not load it at all
         script = """
+import concurrent.futures
 import sys
-import lpmgroup.matrix as matrix_module
 from lpmgroup import MatrixParams, distance_matrix
 from genmodels import chain_lpm
 
@@ -160,7 +161,7 @@ class InProcessPool:
         loaded.append("scipy.optimize" in sys.modules)
         return map(fn, items)
 
-matrix_module.ProcessPoolExecutor = InProcessPool
+concurrent.futures.ProcessPoolExecutor = InProcessPool
 models = [chain_lpm("a", ["x", "y"]), chain_lpm("b", ["x", "z"]), chain_lpm("c", ["y"])]
 for measure in ("efg", "node"):
     distance_matrix(models, measure, MatrixParams(bound=3, workers=2))
