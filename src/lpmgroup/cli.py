@@ -26,8 +26,8 @@ from .manifest import ManifestError, load_manifest
 from .measures import DEFAULT_GED_BUDGET, DEFAULT_LANG_CAP, Measure
 from .petri import DEFAULT_BOUND, DEFAULT_ENUM_CAP
 
-# matrix, clustering and exports load numpy, so each command imports them
-# where it uses them: validate needs none of them.
+# matrix and clustering load numpy, so each command imports them, and
+# exports, where it uses them: validate needs none of them.
 if TYPE_CHECKING:
     from .matrix import DistanceMatrix, MatrixParams
 
@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_thresholds(spec: str) -> tuple[float, ...]:
-    from .matrix import MATRIX_DECIMALS
+    from .exports import MATRIX_DECIMALS
 
     try:
         lo, hi, step = (float(part) for part in spec.split(":"))

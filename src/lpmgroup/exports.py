@@ -12,14 +12,19 @@ import io
 import json
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .analysis import CurvePoint, DiversityEntry, DiversityReport, ReductionCurve, map_ranks
-from .clustering import ClusterSet, RankedModelSet, SweepResult
-from .matrix import MATRIX_DECIMALS, DistanceMatrix
 from .petri import SILENT, LocalProcessModel
+
+# numpy, and the clustering and matrix layers that load it, are imported
+# where the matrix files are read and written: render needs none of them.
+if TYPE_CHECKING:
+    from .clustering import ClusterSet, SweepResult
+    from .manifest import RankedModelSet
+    from .matrix import DistanceMatrix
+
+MATRIX_DECIMALS = 6  # the CSV precision; matrices are rounded to it before clustering
 
 
 def _fixed(value: float) -> str:
@@ -60,6 +65,8 @@ def _flags_path(path: Path) -> Path:
 def export_matrix(matrix: DistanceMatrix, path: Path | str) -> None:
     """Write the distance CSV; approximate pairs go to a sibling flags file,
     which is removed when no pair is approximate."""
+    import numpy as np
+
     path = Path(path)
     _write(path, matrix_to_csv(matrix))
     flags = _flags_path(path)
@@ -73,6 +80,10 @@ def export_matrix(matrix: DistanceMatrix, path: Path | str) -> None:
 def load_matrix(path: Path | str, measure: str = "loaded") -> DistanceMatrix:
     """Read a matrix CSV produced by export_matrix, with its approximation
     flags when the sibling flags file exists."""
+    import numpy as np
+
+    from .matrix import DistanceMatrix
+
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))

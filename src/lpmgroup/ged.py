@@ -24,10 +24,8 @@ recomputation gives. One routine gives the step costs of deciding A's next
 node, for the search's candidates and the seeded incumbent alike.
 
 The incumbent comes from a node-cost-optimal assignment, solved by
-``_lsap_columns``: a line-for-line port of the shortest augmenting path
-solver scipy's ``linear_sum_assignment`` runs (Crouse 2016). It adds,
-subtracts and compares floats in scipy's order, so it returns scipy's
-columns, ties included. The module needs neither numpy nor scipy.
+``measures._lsap``: the package's one assignment solver, which ``node`` and
+``full`` reach through ``optimal_assignment``.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 
-from .measures import DEFAULT_GED_BUDGET, _ordered, place_gain
+from .measures import DEFAULT_GED_BUDGET, _lsap, _ordered, place_gain
 from .petri import LocalProcessModel
 
 # bound memo entries kept per pair, whatever the expansion budget
@@ -96,7 +94,7 @@ class _GedSearch:
         usually a far tighter upper bound than rebuilding everything."""
         if self.n_a == 0 or self.n_b == 0:
             return
-        cols = _lsap_columns(_bordered(self.ns, self.n_b))
+        _, cols = _lsap(_bordered(self.ns, self.n_b))
         mapping = [c if c < self.n_b else None for c in cols[: self.n_a]]
         self.best_cost = min(self.best_cost, self._score(mapping))
 
@@ -214,64 +212,6 @@ def _bordered(ns: list[list[float]], n_b: int) -> list[list[float]]:
         big[n_a + j][j] = 1.0
         big[n_a + j][n_b:] = [0.0] * n_a
     return big
-
-
-def _lsap_columns(cost: list[list[float]]) -> list[int]:
-    """The column assigned to each row of a square cost matrix, at minimum total.
-
-    A port of scipy's ``rectangular_lsap`` (shortest augmenting paths with
-    dual updates, Crouse 2016) that keeps its loop order: the remaining
-    columns listed in reverse, ties going to a column no row holds yet, the
-    same dual updates and the same augmenting swap.
-    """
-    n = len(cost)
-    inf = float("inf")
-    u, v = [0.0] * n, [0.0] * n
-    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
-    for cur_row in range(n):
-        # shortest augmenting path from cur_row to a free column (the sink)
-        remaining = list(range(n - 1, -1, -1))
-        num_remaining = n
-        on_path_row, on_path_col = [False] * n, [False] * n
-        shortest = [inf] * n
-        min_val, i, sink = 0.0, cur_row, -1
-        while sink == -1:
-            index, lowest = -1, inf
-            on_path_row[i] = True
-            row, u_i = cost[i], u[i]
-            for it in range(num_remaining):
-                j = remaining[it]
-                r = min_val + row[j] - u_i - v[j]
-                if r < shortest[j]:
-                    path[j] = i
-                    shortest[j] = r
-                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
-                    lowest = shortest[j]
-                    index = it
-            min_val = lowest
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            on_path_col[j] = True
-            num_remaining -= 1
-            remaining[index] = remaining[num_remaining]
-        u[cur_row] += min_val
-        for i in range(n):
-            if on_path_row[i] and i != cur_row:
-                u[i] += min_val - shortest[col4row[i]]
-        for j in range(n):
-            if on_path_col[j]:
-                v[j] -= min_val - shortest[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur_row:
-                break
-    return col4row
 
 
 def ged_raw(a: LocalProcessModel, b: LocalProcessModel, budget: int = DEFAULT_GED_BUDGET) -> GedResult:

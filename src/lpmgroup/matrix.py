@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .exports import MATRIX_DECIMALS
 from .ged import ged_similarity
 from .measures import (
     DEFAULT_GED_BUDGET,
@@ -33,8 +34,6 @@ from .petri import (
     bounded_language,
     eventually_follows,
 )
-
-MATRIX_DECIMALS = 6  # the CSV precision; matrices are rounded to it before clustering
 
 
 @dataclass(frozen=True)
@@ -227,10 +226,6 @@ def distance_matrix(
             (measure.value, features, params, pairs[k::chunk_count]) for k in range(chunk_count)
         ]
         results: list[tuple[int, int, float, bool]] = []
-        if measure in (Measure.NODE, Measure.FULL):
-            # their pair kernels solve assignments: import scipy once here,
-            # so forked workers inherit it instead of each importing it
-            import scipy.optimize  # noqa: F401
         # imported only here: sequential runs never load the process pool
         from concurrent.futures import ProcessPoolExecutor
 

@@ -5,6 +5,13 @@ one minus the similarity. Dice-style overlaps of two empty sets score 1
 (identically empty behavior), of one empty set 0. Which kernel serves which
 measure, and on which per-model features, is the ``MEASURES`` table in
 ``matrix.py``; ``similarity`` and ``distance`` live there too.
+
+``node`` matches places and ``full`` matches traces by a maximum-gain
+assignment (``optimal_assignment``), and ``ged`` seeds its search with a
+minimum-cost one. All three run one solver, ``_lsap``: a pure-Python port
+of the shortest augmenting path solver behind scipy's
+``linear_sum_assignment`` (Crouse 2016), which returns scipy's assignment
+bit for bit. The module needs only the standard library.
 """
 
 from __future__ import annotations
@@ -73,29 +80,95 @@ def optimal_assignment(gains: np.ndarray | Sequence[Sequence[float]]) -> Assignm
     """Maximum-gain assignment of rows to columns (rectangular allowed).
 
     Unmatched rows or columns of the larger side contribute zero gain,
-    matching the zero-padded square formulation.
+    matching the zero-padded square formulation. The pairs come in row
+    order, and the total adds their gains up in that order.
     """
-    # numpy and scipy are imported here, not at module level: they take
-    # longer to import than the rest of the package, and only node and full
-    # call this (ged seeds its search with the pure-Python port in ged.py).
-    import numpy as np
-
-    matrix = np.asarray(gains, dtype=float)
-    if matrix.size == 0:
+    try:
+        matrix = [list(map(float, row)) for row in gains]
+    except TypeError:
+        raise ValueError("gain matrix must be two-dimensional") from None
+    if len({len(row) for row in matrix}) > 1:
+        raise ValueError("gain matrix rows must have equal lengths")
+    if not matrix or not matrix[0]:
         return Assignment((), 0.0)
-    if matrix.ndim != 2:
-        raise ValueError("gain matrix must be two-dimensional")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("gain matrix entries must be finite")
-    if matrix.min() < 0.0 or matrix.max() > 1.0:
+    if not all(0.0 <= g <= 1.0 for row in matrix for g in row):  # NaN fails too
         raise ValueError("gain matrix entries must lie in [0, 1]")
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(matrix, maximize=True)
-    order = np.argsort(rows)
-    pairs = tuple((int(rows[k]), int(cols[k])) for k in order)
-    total = float(sum(matrix[r, c] for r, c in pairs))
+    pairs = tuple(zip(*_lsap([[-g for g in row] for row in matrix])))
+    total = 0.0
+    for r, c in pairs:
+        total += matrix[r][c]
     return Assignment(pairs, total)
+
+
+def _lsap(cost: list[list[float]]) -> tuple[list[int], list[int]]:
+    """Rows, ascending, and their columns in a minimum-cost assignment of a
+    non-empty matrix.
+
+    A port of scipy's ``rectangular_lsap`` (shortest augmenting paths with
+    dual updates, Crouse 2016) that keeps its loop order: the remaining
+    columns listed in reverse, ties going to a column no row holds yet, the
+    same dual updates and the same augmenting swap. A matrix with fewer
+    columns than rows is solved transposed and its pairs are put back in
+    row order, as scipy does. It adds, subtracts and compares floats in
+    scipy's order, so it returns scipy's assignment, ties included.
+    """
+    nr, nc = len(cost), len(cost[0])
+    transpose = nc < nr
+    if transpose:
+        cost = [list(col) for col in zip(*cost)]
+        nr, nc = nc, nr
+    inf = float("inf")
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur_row in range(nr):
+        # shortest augmenting path from cur_row to a free column (the sink)
+        remaining = list(range(nc - 1, -1, -1))
+        num_remaining = nc
+        on_path_row, on_path_col = [False] * nr, [False] * nc
+        shortest = [inf] * nc
+        min_val, i, sink = 0.0, cur_row, -1
+        while sink == -1:
+            index, lowest = -1, inf
+            on_path_row[i] = True
+            row, u_i = cost[i], u[i]
+            for it in range(num_remaining):
+                j = remaining[it]
+                r = min_val + row[j] - u_i - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            on_path_col[j] = True
+            num_remaining -= 1
+            remaining[index] = remaining[num_remaining]
+        u[cur_row] += min_val
+        for i in range(nr):
+            if on_path_row[i] and i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(nc):
+            if on_path_col[j]:
+                v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        # col4row holds the row of each original column: list them by row
+        cols = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[j] for j in cols], cols
+    return list(range(nr)), col4row
 
 
 def _ordered(a: LocalProcessModel, b: LocalProcessModel) -> tuple[LocalProcessModel, LocalProcessModel]:

@@ -287,20 +287,15 @@ class _FiringRule:
         places = frozenset(places)
         return sum(1 << i for i, p in enumerate(self.places) if p in places)
 
-    def unmask(self, mask: int) -> frozenset[str]:
-        return frozenset(p for i, p in enumerate(self.places) if mask >> i & 1)
-
     def encode(self, marking: Marking) -> tuple[int, ...]:
         counts = marking.as_dict()
         return tuple(counts.get(p, 0) for p in self.places)
 
-    def decode(self, counts: tuple[int, ...]) -> Marking:
-        return Marking(dict(zip(self.places, counts)))
-
     def enabled(self, counts: tuple[int, ...], used: int) -> list[int]:
         """Indices of the transitions that may fire, in sorted id order: the
         preset is marked and, for an unrestricted transition, no postset
-        place is in ``used`` (see ``enabled``)."""
+        place is in ``used``, since every place accepts at most one free
+        token per run."""
         get = counts.__getitem__
         free_mask = self._free_mask
         return [
@@ -310,43 +305,6 @@ class _FiringRule:
     def fire(self, counts: tuple[int, ...], used: int, k: int) -> tuple[tuple[int, ...], int]:
         """Successor state after firing the enabled transition ``k``."""
         return tuple(map(add, counts, self._delta[k])), used | self._free_mask[k]
-
-
-def enabled(
-    net: LabeledPetriNet,
-    marking: Marking,
-    used_free_places: frozenset[str] = frozenset(),
-) -> frozenset[str]:
-    """Transitions that may fire in ``marking``.
-
-    A transition is enabled when its preset is marked. An unrestricted
-    transition is additionally blocked when any of its postset places
-    already received a token from an unrestricted transition earlier in the
-    run (``used_free_places``): every place accepts at most one free token.
-    """
-    rule = _FiringRule(net, marking.places() | used_free_places)
-    ready = rule.enabled(rule.encode(marking), rule.mask(used_free_places))
-    return frozenset(rule.transitions[k] for k in ready)
-
-
-def fire(
-    net: LabeledPetriNet,
-    marking: Marking,
-    transition: str,
-    used_free_places: frozenset[str] = frozenset(),
-) -> tuple[Marking, frozenset[str]]:
-    """Fire an enabled transition; returns the new marking and free-place set.
-
-    Firing a transition that is not enabled is a contract violation and
-    raises ``ValueError``.
-    """
-    rule = _FiringRule(net, marking.places() | used_free_places)
-    counts, used = rule.encode(marking), rule.mask(used_free_places)
-    ready = [rule.transitions[k] for k in rule.enabled(counts, used)]
-    if transition not in ready:
-        raise ValueError(f"transition {transition!r} is not enabled in {marking!r}")
-    new_counts, new_used = rule.fire(counts, used, rule.transitions.index(transition))
-    return rule.decode(new_counts), rule.unmask(new_used)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ for the assignment problem, the textbook recursive edit distance, an
 exhaustive node-mapping minimum for the graph edit distance, complete
 linkage that recomputes every cluster-pair distance at every merge, and a
 point-by-point silhouette.
+
+``enabled`` and ``fire`` are not independent: they step the library's
+compiled firing rule one ``Marking`` at a time, so tests can replay a
+sequence transition by transition.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from lpmgroup import Marking
+from lpmgroup.petri import _FiringRule
 
 
 def _marking_of(marking) -> dict[str, int]:
@@ -111,6 +116,30 @@ def oracle_bfs_sequences(lpm, bound: int, cap: int) -> tuple[frozenset[tuple[str
                 complete.add(new_seq)
             frontier.append((new_marking, new_used, new_seq))
     return frozenset(complete), truncated
+
+
+def enabled(net, marking, used_free_places=frozenset()) -> frozenset[str]:
+    """Transitions that may fire in ``marking``, by the library's compiled
+    firing rule: the preset is marked, and an unrestricted transition is
+    blocked once any of its postset places received a free token earlier in
+    the run (``used_free_places``)."""
+    rule = _FiringRule(net, marking.places() | used_free_places)
+    ready = rule.enabled(rule.encode(marking), rule.mask(used_free_places))
+    return frozenset(rule.transitions[k] for k in ready)
+
+
+def fire(net, marking, transition, used_free_places=frozenset()):
+    """Fire an enabled transition by the library's compiled firing rule;
+    returns the new marking and free-place set. Firing a transition that is
+    not enabled raises ``ValueError``."""
+    rule = _FiringRule(net, marking.places() | used_free_places)
+    counts, used = rule.encode(marking), rule.mask(used_free_places)
+    ready = [rule.transitions[k] for k in rule.enabled(counts, used)]
+    if transition not in ready:
+        raise ValueError(f"transition {transition!r} is not enabled in {marking!r}")
+    new_counts, new_used = rule.fire(counts, used, rule.transitions.index(transition))
+    new_marking = Marking(dict(zip(rule.places, new_counts)))
+    return new_marking, frozenset(p for i, p in enumerate(rule.places) if new_used >> i & 1)
 
 
 def oracle_assignment(gains) -> float:

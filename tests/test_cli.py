@@ -457,34 +457,69 @@ def test_cli_returns_an_exit_code_and_never_raises(fuzz_root, data):
 
 
 def test_validate_efg_and_ged_commands_do_not_import_scipy(tmp_path):
-    # scipy is loaded only by the measures that solve an assignment with it
-    # (node, full), numpy only by the commands past validate, and the process
-    # pool only for --workers > 1; a module-level import anywhere else would
-    # bring its import time back into every command.
+    # No command imports scipy: it is blocked, and every command runs under
+    # every measure, sequentially and through an in-process stand-in for the
+    # process pool. validate and render load neither numpy nor the pool, and
+    # --workers 1 never loads the pool; a module-level import anywhere else
+    # would bring its import time back into every command.
     manifest = varied_manifest(tmp_path)
     script = f"""
 import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import concurrent.futures
 from lpmgroup.cli import main
 
 def loaded(*names):
-    return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
+    return sorted(m for m, module in sys.modules.items()
+                  if module is not None and any(m == n or m.startswith(n + ".") for n in names))
 
-assert main(["validate", "--manifest", {str(manifest)!r}]) == 0
-unwanted = [loaded("numpy", "scipy", "concurrent.futures.process")]
-assert main(["cluster", "--manifest", {str(manifest)!r}, "--measure", "efg", "--bound", "4",
-             "--workers", "1", "--out", {str(tmp_path / "out")!r}]) == 0
-for command in ("cluster", "diversity"):
-    assert main([command, "--manifest", {str(manifest)!r}, "--measure", "ged", "--ged-budget", "500",
-                 "--out", {str(tmp_path / "ged")!r} + "-" + command]) == 0
+pool_maps = []
+
+class InProcessPool:
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        pool_maps.append(fn)
+        return map(fn, items)
+
+def run(command, *flags, out=None):
+    argv = [command, "--manifest", {str(manifest)!r}, *flags]
+    if out is not None:
+        argv += ["--out", {str(tmp_path)!r} + "/" + out]
+    assert main(argv) == 0, argv
+
+def run_all(workers):
+    reads = {{"efg": ["--bound", "4"], "full": ["--bound", "4"], "ged": ["--ged-budget", "500"]}}
+    for measure in ("transition", "node", "efg", "full", "ged"):
+        for command in ("matrix", "cluster", "diversity"):
+            run(command, "--measure", measure, *reads.get(measure, []), "--workers", workers,
+                out=f"{{measure}}-{{workers}}-{{command}}")
+
+run("validate")
+unwanted = [loaded("numpy", "concurrent.futures.process")]
+run("render", out="render")
+unwanted.append(loaded("numpy", "concurrent.futures.process"))
+run_all("1")
 unwanted.append(loaded("scipy", "concurrent.futures.process"))
+concurrent.futures.ProcessPoolExecutor = InProcessPool
+run_all("2")
+assert len(pool_maps) == 15
+unwanted.append(loaded("scipy"))
 print(unwanted)
 """
     src = str(Path(lpmgroup.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300, check=True
     )
-    assert done.stdout.splitlines()[-1] == "[[], []]"
+    assert done.stdout.splitlines()[-1] == "[[], [], [], []]"
 
 
 def test_package_exports_resolve_on_first_use():

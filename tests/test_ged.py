@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from lpmgroup import (
@@ -12,7 +11,7 @@ from lpmgroup import (
     ged_raw,
     similarity,
 )
-from lpmgroup.ged import _GedSearch, _bordered, _lsap_columns
+from lpmgroup.ged import _GedSearch
 from genmodels import chain_lpm, random_lpm
 from oracles import oracle_ged
 
@@ -288,40 +287,6 @@ class TestSearchState:
         search = _GedSearch(*pairs[0], budget=3000)
         search.run()
         assert len(search.bounds) == 16
-
-
-class TestIncumbentAssignment:
-    """The search's incumbent comes from a port of scipy's assignment
-    solver; scipy, imported only here, is its oracle, ties included."""
-
-    ENTRIES = {
-        "small-integer-ties": lambda rng: float(rng.randint(0, 3)),
-        "fractions-and-big": lambda rng: rng.choice((0.0, 0.5, 1 / 3, 2 / 3, 1.0, 1e6)),
-        "uniform": lambda rng: rng.random(),
-    }
-
-    @pytest.mark.parametrize("kind", list(ENTRIES))
-    def test_port_returns_scipys_columns(self, kind):
-        from scipy.optimize import linear_sum_assignment
-
-        rng = random.Random(f"lsap:{kind}")
-        entry = self.ENTRIES[kind]
-        for _ in range(1700):
-            n = rng.randint(1, 20)
-            cost = [[entry(rng) for _ in range(n)] for _ in range(n)]
-            assert _lsap_columns(cost) == linear_sum_assignment(np.array(cost))[1].tolist(), cost
-
-    def test_port_returns_scipys_columns_on_bordered_ged_matrices(self):
-        from scipy.optimize import linear_sum_assignment
-
-        rng = random.Random(71)
-        for k in range(200):
-            a = random_lpm(rng, f"a{k}", max_transitions=8, max_places=6)
-            b = random_lpm(rng, f"b{k}", max_transitions=8, max_places=6)
-            search = _GedSearch(a, b, budget=1)
-            cost = _bordered(search.ns, search.n_b)
-            assert len(cost) == search.n_a + search.n_b
-            assert _lsap_columns(cost) == linear_sum_assignment(np.array(cost))[1].tolist(), k
 
 
 class TestSimGed:

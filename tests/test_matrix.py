@@ -2,14 +2,10 @@
 
 import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import lpmgroup
 from lpmgroup import (
     DistanceMatrix,
     Measure,
@@ -135,45 +131,6 @@ class TestDistanceMatrixComputation:
         wide = distance_matrix(models, Measure.NODE, MatrixParams(workers=5000))
         assert sizes == [expected]
         assert np.array_equal(seq.values, wide.values)
-
-    def test_node_loads_scipy_in_the_parent_before_the_pool_starts(self):
-        # forked workers inherit the parent's modules, so the parent imports
-        # scipy for the assignment measures; efg must not load it at all
-        script = """
-import concurrent.futures
-import sys
-from lpmgroup import MatrixParams, distance_matrix
-from genmodels import chain_lpm
-
-loaded = []
-
-class InProcessPool:
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        loaded.append("scipy.optimize" in sys.modules)
-        return map(fn, items)
-
-concurrent.futures.ProcessPoolExecutor = InProcessPool
-models = [chain_lpm("a", ["x", "y"]), chain_lpm("b", ["x", "z"]), chain_lpm("c", ["y"])]
-for measure in ("efg", "node"):
-    distance_matrix(models, measure, MatrixParams(bound=3, workers=2))
-print(loaded)
-"""
-        src = str(Path(lpmgroup.__file__).resolve().parents[1])
-        paths = [src, str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
-        )
-        assert done.stdout.splitlines()[-1] == "[False, True]"
 
     def test_truncated_language_sets_approx_flag(self):
         models = [chain_lpm("a", ["x", "y", "z"]), chain_lpm("b", ["x", "y"])]

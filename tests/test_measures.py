@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from lpmgroup import (
     SILENT,
+    Assignment,
     LabeledPetriNet,
     LocalProcessModel,
     Marking,
@@ -23,6 +25,8 @@ from lpmgroup import (
     sim_node,
     similarity,
 )
+from lpmgroup.ged import _GedSearch, _bordered
+from lpmgroup.measures import _lsap
 from genmodels import chain_lpm, random_lpm, self_loop_star, xor_lpm
 from oracles import oracle_assignment, oracle_levenshtein
 
@@ -112,6 +116,31 @@ class TestAssignment:
         with pytest.raises(ValueError):
             optimal_assignment([[1.5]])
 
+    CONTRACT_GAINS = [[0.25, 0.5, 0.125], [0.75, 0.125, 0.5]]
+
+    @pytest.mark.parametrize("gains, expected", [
+        pytest.param([[0.5], [0.5, 0.25]], ValueError, id="ragged"),
+        pytest.param([0.5, 0.25], ValueError, id="one-dimensional"),
+        pytest.param([[0.5, float("nan")]], ValueError, id="nan"),
+        pytest.param([[float("inf")], [0.5]], ValueError, id="inf"),
+        pytest.param([[0.5, -float("inf")]], ValueError, id="minus-inf"),
+        pytest.param([], Assignment((), 0.0), id="empty"),
+        pytest.param([[]], Assignment((), 0.0), id="one-empty-row"),
+        pytest.param([[], []], Assignment((), 0.0), id="two-empty-rows"),
+        pytest.param(np.array(CONTRACT_GAINS), CONTRACT_GAINS, id="ndarray-as-list"),
+    ])
+    def test_input_contract(self, gains, expected):
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                optimal_assignment(gains)
+            return
+        if isinstance(expected, list):
+            expected = optimal_assignment(expected)
+        result = optimal_assignment(gains)
+        assert result == expected
+        assert type(result.total_gain) is float
+        assert all(type(k) is int for pair in result.pairs for k in pair)
+
     def test_matches_permutation_oracle(self):
         rng = random.Random(21)
         for _ in range(100):
@@ -121,6 +150,66 @@ class TestAssignment:
             assert optimal_assignment(gains).total_gain == pytest.approx(
                 oracle_assignment(gains), abs=1e-12
             )
+
+
+class TestAssignmentSolver:
+    """``node``, ``full`` and ``ged`` share one assignment solver, a port of
+    scipy's; scipy, imported only here, is its oracle, ties included."""
+
+    ENTRIES = {
+        "small-integer-ties": lambda rng: float(rng.randint(0, 3)),
+        "fractions-and-big": lambda rng: rng.choice((0.0, 0.5, 1 / 3, 2 / 3, 1.0, 1e6)),
+        "uniform": lambda rng: rng.random(),
+    }
+    GAINS = {
+        "half-integer-ties": lambda rng: rng.choice((0.0, 0.5, 1.0)),
+        "thirds-and-quarters": lambda rng: rng.choice((0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0)),
+        "uniform": lambda rng: rng.random(),
+    }
+
+    @pytest.mark.parametrize("kind", list(ENTRIES))
+    def test_port_returns_scipys_columns(self, kind):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = random.Random(f"lsap:{kind}")
+        entry = self.ENTRIES[kind]
+        for _ in range(1700):
+            n = rng.randint(1, 20)
+            cost = [[entry(rng) for _ in range(n)] for _ in range(n)]
+            assert _lsap(cost)[1] == linear_sum_assignment(np.array(cost))[1].tolist(), cost
+
+    def test_port_returns_scipys_columns_on_bordered_ged_matrices(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = random.Random(71)
+        for k in range(200):
+            a = random_lpm(rng, f"a{k}", max_transitions=8, max_places=6)
+            b = random_lpm(rng, f"b{k}", max_transitions=8, max_places=6)
+            search = _GedSearch(a, b, budget=1)
+            cost = _bordered(search.ns, search.n_b)
+            assert len(cost) == search.n_a + search.n_b
+            assert _lsap(cost)[1] == linear_sum_assignment(np.array(cost))[1].tolist(), k
+
+    @pytest.mark.parametrize("kind", list(GAINS))
+    def test_maximizing_matches_scipy_on_rectangles(self, kind):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = random.Random(f"rect:{kind}")
+        entry = self.GAINS[kind]
+        shapes = set()
+        for _ in range(1000):
+            rows, cols = rng.randint(1, 14), rng.randint(1, 14)
+            shapes.add((rows > cols) - (rows < cols))
+            gains = [[entry(rng) for _ in range(cols)] for _ in range(rows)]
+            result = optimal_assignment(gains)
+            want_rows, want_cols = linear_sum_assignment(np.array(gains), maximize=True)
+            want = tuple(zip(want_rows.tolist(), want_cols.tolist()))
+            total = 0.0
+            for r, c in want:
+                total += gains[r][c]
+            assert result.pairs == want, gains
+            assert result.total_gain.hex() == total.hex(), gains
+        assert shapes == {-1, 0, 1}
 
 
 class TestLevenshtein:

@@ -12,9 +12,7 @@ from lpmgroup import (
     NetStructureError,
     bounded_language,
     ef_relation,
-    enabled,
     eventually_follows,
-    fire,
     unrestricted_transitions,
     valid_complete_firing_sequences,
     validate_lpm,
@@ -26,7 +24,7 @@ from genmodels import (
     with_isolated_transition,
     without_place_outputs,
 )
-from oracles import oracle_bfs_sequences, oracle_sequences
+from oracles import enabled, fire, oracle_bfs_sequences, oracle_sequences
 
 EMPTY = Marking()
 
