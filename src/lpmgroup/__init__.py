@@ -7,7 +7,8 @@ projects one representative model out of every cluster, and reports how
 much the set shrinks and how much more diverse the survivors are.
 
 The public names below resolve on first use (PEP 562), so importing the
-package, or a command that only parses and validates, does not load numpy.
+package, or a command that only parses and validates, loads only the
+modules it uses. The package needs only the standard library.
 """
 
 import importlib

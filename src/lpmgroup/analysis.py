@@ -15,7 +15,7 @@ from .manifest import RankedModelSet
 from .measures import Measure
 from .petri import LocalProcessModel
 
-if TYPE_CHECKING:  # clustering and matrix load numpy: imported where they are used
+if TYPE_CHECKING:  # clustering and matrix are imported where they are used
     from .matrix import DistanceMatrix
 
 DEFAULT_CURVE_NS: tuple[int, ...] = (5, 10, 20, 50, 100, 500)
@@ -41,8 +41,9 @@ def mean_pairwise_distance(
     total = 0.0
     count = 0
     for a in range(len(rows)):
+        row = matrix.values[rows[a]]
         for b in range(a + 1, len(rows)):
-            total += float(matrix.values[rows[a], rows[b]])
+            total += row[rows[b]]
             count += 1
     return total / count
 

@@ -26,8 +26,8 @@ from .manifest import ManifestError, load_manifest
 from .measures import DEFAULT_GED_BUDGET, DEFAULT_LANG_CAP, Measure
 from .petri import DEFAULT_BOUND, DEFAULT_ENUM_CAP
 
-# matrix and clustering load numpy, so each command imports them, and
-# exports, where it uses them: validate needs none of them.
+# each command imports matrix, clustering and exports where it uses them:
+# validate needs none of them.
 if TYPE_CHECKING:
     from .matrix import DistanceMatrix, MatrixParams
 

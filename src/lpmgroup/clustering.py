@@ -11,14 +11,15 @@ the best ranked member or the medoid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import takewhile
+from operator import add
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .manifest import RankedModelSet
 from .matrix import DistanceMatrix
+from .measures import left_sum
 
 DEFAULT_THRESHOLDS: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
@@ -57,29 +58,51 @@ def check_partition(clusters: ClusterSet, ids: Sequence[str]) -> None:
         raise ValueError("clusters do not cover the model set exactly")
 
 
+def _row_minimum(row: list[float], k: int) -> tuple[float, int, int]:
+    """(the row's minimum, the row, the first column that holds it)."""
+    smallest = min(row)
+    return smallest, k, row.index(smallest)
+
+
 def _merges(matrix: DistanceMatrix, below: float) -> Dendrogram:
-    """Merge closest clusters while the complete-linkage distance < below."""
+    """Merge closest clusters while the complete-linkage distance < below.
+
+    Each live row caches its minimum and the first column holding it. The
+    smallest cached triple is the first minimum of the whole matrix in
+    row-major order, the lexicographically smallest (i, j); as the matrix
+    stays symmetric with an inf diagonal, i < j. Complete-linkage distances
+    only grow, so after merging j into i only row i, the rows whose cached
+    column was j and those whose entry in column i grew past their cached
+    minimum can have a new minimum; every other cache, ties included, still
+    holds.
+    """
     n = len(matrix)
     if n < 2:
         raise ValueError("clustering needs at least two models")
-    dist = matrix.values.astype(float)
-    np.fill_diagonal(dist, np.inf)
+    inf = math.inf
+    dist = [list(row) for row in matrix.values]
+    for k, row in enumerate(dist):
+        row[k] = inf
+    best = [_row_minimum(row, k) for k, row in enumerate(dist)]
+    live = list(range(n))
     members = [frozenset((model_id,)) for model_id in matrix.ids]
     steps: list[MergeStep] = []
     for _ in range(n - 1):
-        # dist stays symmetric with an inf diagonal, so the first row-major
-        # minimum is the lexicographically smallest (i, j), and i < j.
-        i, j = divmod(int(dist.argmin()), n)
-        smallest = float(dist[i, j])
+        smallest, i, j = min(best)
         if not smallest < below:
             break
         steps.append(MergeStep(first=members[i], second=members[j], distance=smallest))
-        merged_row = np.maximum(dist[i, :], dist[j, :])
-        dist[i, :] = merged_row
-        dist[:, i] = merged_row
-        dist[i, i] = np.inf
-        dist[j, :] = np.inf
-        dist[:, j] = np.inf
+        merged = [x if x >= y else y for x, y in zip(dist[i], dist[j])]
+        merged[i] = merged[j] = inf
+        dist[i] = merged
+        live.remove(j)
+        best[j] = (inf, j, j)
+        for k in live:
+            row = dist[k]
+            row[i], row[j] = merged[k], inf
+            cached, _, col = best[k]
+            if k == i or col == j or (col == i and merged[k] > cached):
+                best[k] = _row_minimum(row, k)
         members[i] |= members[j]
     return tuple(steps)
 
@@ -104,29 +127,62 @@ def agglomerate(
 def silhouette(matrix: DistanceMatrix, clusters: ClusterSet) -> float | None:
     """Mean silhouette width; None when it is undefined (one cluster, or
     as many clusters as points)."""
-    check_partition(clusters, matrix.ids)
+    return _silhouettes(matrix, (clusters,))[0]
+
+
+def _member_sums(rows: Sequence[Sequence[float]], group: list[int]) -> Sequence[float]:
+    """The group's rows added elementwise, left to right in member order."""
+    total = rows[group[0]]
+    for q in group[1:]:
+        total = list(map(add, total, rows[q]))
+    return total
+
+
+def _silhouettes(matrix: DistanceMatrix, partitions: Sequence[ClusterSet]) -> list[float | None]:
+    """``silhouette`` of each partition.
+
+    Per cluster, the distances from every point to its members are added
+    left to right in member order. The matrix is symmetric, so they are the
+    elementwise sums of the members' rows; p's own zero distance changes
+    nothing. A cluster kept from one partition to the next, as most
+    clusters of a threshold sweep are, keeps its sums.
+    """
     n = len(matrix)
-    k = len(clusters)
-    if k <= 1 or k >= n:
-        return None
-    groups = [sorted(matrix.index(i) for i in cluster) for cluster in clusters]
-    own = np.empty(n, dtype=int)
-    for g, group in enumerate(groups):
-        own[group] = g
-    points = np.arange(n)
-    # sums[g, p]: distances from p to cluster g, added left to right in index
-    # order (cumsum, unlike sum, never reorders); p's own zero changes nothing
-    sums = np.array([matrix.values[:, group].cumsum(axis=1)[:, -1] for group in groups])
-    sizes = np.array([len(group) for group in groups], dtype=float)
-    own_size = sizes[own]
-    a = sums[own, points] / np.maximum(own_size - 1.0, 1.0)
-    means = sums / sizes[:, None]
-    means[own, points] = np.inf
-    b = means.min(axis=0)
-    top = np.maximum(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where((own_size == 1.0) | (top == 0.0), 0.0, (b - a) / top)
-    return sum(scores.tolist()) / n
+    rows = list(matrix.values)
+    sums: dict[frozenset[str], Sequence[float]] = {}
+    widths: list[float | None] = []
+    for clusters in partitions:
+        check_partition(clusters, matrix.ids)
+        k = len(clusters)
+        if k <= 1 or k >= n:
+            widths.append(None)
+            continue
+        groups = [sorted(map(matrix.index, cluster)) for cluster in clusters]
+        own = [0] * n
+        for g, group in enumerate(groups):
+            for p in group:
+                own[p] = g
+        sums = {
+            cluster: sums[cluster] if cluster in sums else _member_sums(rows, group)
+            for cluster, group in zip(clusters, groups)
+        }
+        totals = list(sums.values())
+        # means[g][p], with inf where g is p's own cluster
+        means = []
+        for group, total in zip(groups, totals):
+            size = len(group)
+            mean = [x / size for x in total] if size > 1 else list(total)
+            for p in group:
+                mean[p] = math.inf
+            means.append(mean)
+        scores = []
+        for p, b in enumerate(map(min, *means)):
+            size = len(groups[own[p]])
+            a = totals[own[p]][p] / max(size - 1.0, 1.0)
+            top = max(a, b)
+            scores.append(0.0 if size == 1 or top == 0.0 else (b - a) / top)
+        widths.append(left_sum(scores) / n)
+    return widths
 
 
 @dataclass(frozen=True)
@@ -165,10 +221,8 @@ def sweep(
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
     steps = _merges(matrix, max(ClusteringParams(threshold=t).threshold for t in thresholds))
-    outcomes = []
-    for threshold in thresholds:
-        clusters = _clusters(matrix, takewhile(lambda s: s.distance < threshold, steps))
-        outcomes.append(ThresholdOutcome(threshold, clusters, silhouette(matrix, clusters)))
+    partitions = [_clusters(matrix, takewhile(lambda s: s.distance < t, steps)) for t in thresholds]
+    outcomes = list(map(ThresholdOutcome, thresholds, partitions, _silhouettes(matrix, partitions)))
     scored = [o for o in outcomes if o.silhouette is not None]
     best = max(scored, key=lambda o: (o.silhouette, o.threshold), default=None)
     return SweepResult(outcomes=tuple(outcomes), best=best)
@@ -198,8 +252,8 @@ def repr_dist(
         return ids[0]
     means = {}
     for i in ids:
-        row = matrix.index(i)
-        means[i] = sum(matrix.values[row, matrix.index(j)] for j in ids if j != i) / (len(ids) - 1)
+        row = matrix.values[matrix.index(i)]
+        means[i] = left_sum(row[matrix.index(j)] for j in ids if j != i) / (len(ids) - 1)
     if ranked is not None:
         return min(ids, key=lambda i: (means[i], ranked.rank(i), i))
     return min(ids, key=lambda i: (means[i], i))

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .analysis import CurvePoint, DiversityEntry, DiversityReport, ReductionCurve, map_ranks
 from .petri import SILENT, LocalProcessModel
 
-# numpy, and the clustering and matrix layers that load it, are imported
-# where the matrix files are read and written: render needs none of them.
+# the clustering and matrix layers are imported where the matrix files are
+# read: render needs neither of them.
 if TYPE_CHECKING:
     from .clustering import ClusterSet, SweepResult
     from .manifest import RankedModelSet
@@ -65,23 +65,20 @@ def _flags_path(path: Path) -> Path:
 def export_matrix(matrix: DistanceMatrix, path: Path | str) -> None:
     """Write the distance CSV; approximate pairs go to a sibling flags file,
     which is removed when no pair is approximate."""
-    import numpy as np
-
     path = Path(path)
     _write(path, matrix_to_csv(matrix))
     flags = _flags_path(path)
-    if not matrix.approx.any():
+    ids = matrix.ids
+    pairs = [[ids[i], ids[j]] for i, row in enumerate(matrix.approx) for j in range(i + 1, len(ids)) if row[j]]
+    if not pairs:
         flags.unlink(missing_ok=True)
         return
-    pairs = zip(*np.nonzero(np.triu(matrix.approx, 1)))
-    _write(flags, _csv(["id_a", "id_b"], ([matrix.ids[i], matrix.ids[j]] for i, j in pairs)))
+    _write(flags, _csv(["id_a", "id_b"], pairs))
 
 
 def load_matrix(path: Path | str, measure: str = "loaded") -> DistanceMatrix:
     """Read a matrix CSV produced by export_matrix, with its approximation
     flags when the sibling flags file exists."""
-    import numpy as np
-
     from .matrix import DistanceMatrix
 
     path = Path(path)
@@ -90,14 +87,16 @@ def load_matrix(path: Path | str, measure: str = "loaded") -> DistanceMatrix:
     if not rows or rows[0][:1] != ["id"]:
         raise ValueError(f"{path} is not a distance matrix CSV")
     ids = tuple(rows[0][1:])
-    values = np.zeros((len(ids), len(ids)))
     if len(rows) != len(ids) + 1:
         raise ValueError(f"{path}: expected {len(ids)} data rows")
-    for i, row in enumerate(rows[1:]):
-        if row[0] != ids[i]:
+    values = []
+    for model_id, row in zip(ids, rows[1:]):
+        if row[:1] != [model_id]:
             raise ValueError(f"{path}: row order does not match the header")
-        values[i, :] = [float(cell) for cell in row[1:]]
-    approx = np.zeros((len(ids), len(ids)), dtype=bool)
+        if len(row) != len(ids) + 1:
+            raise ValueError(f"{path}: row {model_id!r} holds {len(row) - 1} of {len(ids)} distances")
+        values.append([float(cell) for cell in row[1:]])
+    approx = [[False] * len(ids) for _ in ids]
     flags = _flags_path(path)
     if flags.exists():
         with flags.open(newline="", encoding="utf-8") as handle:
@@ -109,7 +108,7 @@ def load_matrix(path: Path | str, measure: str = "loaded") -> DistanceMatrix:
             if len(row) != 2 or row[0] == row[1] or not set(row) <= index.keys():
                 raise ValueError(f"{flags}: bad flag row {row!r}")
             i, j = index[row[0]], index[row[1]]
-            approx[i, j] = approx[j, i] = True
+            approx[i][j] = approx[j][i] = True
     return DistanceMatrix(ids=ids, values=values, measure=measure, approx=approx)
 
 

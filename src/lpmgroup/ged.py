@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 
-from .measures import DEFAULT_GED_BUDGET, _lsap, _ordered, place_gain
+from .measures import DEFAULT_GED_BUDGET, _lsap, _ordered, left_sum, place_gain
 from .petri import LocalProcessModel
 
 # bound memo entries kept per pair, whatever the expansion budget
@@ -129,8 +129,8 @@ class _GedSearch:
         rows = self.ns[idx:]
         ra, rb = len(rows), unused.count(True)
         if ra and rb:
-            row = sum(map(min, map(compress, rows, repeat(unused)))) + max(0, rb - ra)
-            col = sum(compress(self.col_min[idx], unused)) + max(0, ra - rb)
+            row = left_sum(map(min, map(compress, rows, repeat(unused)))) + max(0, rb - ra)
+            col = left_sum(compress(self.col_min[idx], unused)) + max(0, ra - rb)
             node_bound = max(row, col)
         else:
             node_bound = float(ra + rb)

@@ -10,11 +10,13 @@ regardless of worker count or scheduling.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
+from operator import add
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .exports import MATRIX_DECIMALS
 from .ged import ged_similarity
@@ -35,6 +37,8 @@ from .petri import (
     eventually_follows,
 )
 
+_SCALE = 10.0**MATRIX_DECIMALS
+
 
 @dataclass(frozen=True)
 class MatrixParams:
@@ -52,65 +56,104 @@ class MatrixParams:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
+class Table(tuple):
+    """An immutable row-major table: a tuple of row tuples.
+
+    ``t[i, j]`` is one entry and ``t[i]`` one row; iteration yields the rows.
+    ``numpy.asarray`` turns it into an array.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        if type(key) is tuple:
+            i, j = key
+            return tuple.__getitem__(self, i)[j]
+        return tuple.__getitem__(self, key)
+
+    def sum(self):
+        """All entries added row by row, left to right; a bool table counts its trues."""
+        return reduce(add, chain.from_iterable(self), 0)
+
+
+def _table(rows, convert) -> Table:
+    try:
+        return Table(tuple(map(convert, row)) for row in rows)
+    except TypeError:
+        raise ValueError("matrix shape does not match the id list") from None
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric pairwise distances in [0, 1] with per-pair approximation flags."""
+    """Symmetric pairwise distances in [0, 1] with per-pair approximation flags.
+
+    ``values`` and ``approx`` are ``Table``s; the constructor takes any
+    nested sequence of numbers, a numpy array included.
+    """
 
     ids: tuple[str, ...]
-    values: np.ndarray
+    values: Table
     measure: str
-    approx: np.ndarray = field(default=None)  # type: ignore[assignment]
+    approx: Table = field(default=None)  # type: ignore[assignment]
+    _rows: dict[str, int] = field(init=False, repr=False)  # id -> row
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "values", values)
-        if self.approx is None:
-            object.__setattr__(self, "approx", np.zeros(values.shape, dtype=bool))
-        else:
-            object.__setattr__(self, "approx", np.asarray(self.approx, dtype=bool))
         n = len(self.ids)
-        if len(set(self.ids)) != n:
+        ids = tuple(self.ids)
+        if len(set(ids)) != n:
             raise ValueError("model ids must be unique")
-        if values.shape != (n, n) or self.approx.shape != (n, n):
+        values = _table(self.values, float)
+        approx = Table((False,) * n for _ in range(n)) if self.approx is None else _table(self.approx, bool)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "approx", approx)
+        object.__setattr__(self, "_rows", {model_id: k for k, model_id in enumerate(ids)})
+        if len(values) != n or len(approx) != n or any(len(row) != n for row in chain(values, approx)):
             raise ValueError("matrix shape does not match the id list")
-        if not np.array_equal(values, values.T):
-            raise ValueError("distance matrix must be symmetric")
-        if np.any(np.diag(values) != 0.0):
-            raise ValueError("self-distances must be zero")
-        if values.min() < 0.0 or values.max() > 1.0:
+        if n and (
+            min(map(min, values)) < 0.0
+            or max(map(max, values)) > 1.0
+            or any(map(math.isnan, chain.from_iterable(values)))
+        ):
             raise ValueError("distances must lie in [0, 1]")
-        self.values.setflags(write=False)
-        self.approx.setflags(write=False)
+        if values != tuple(zip(*values)):
+            raise ValueError("distance matrix must be symmetric")
+        if any(row[k] != 0.0 for k, row in enumerate(values)):
+            raise ValueError("self-distances must be zero")
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def index(self, model_id: str) -> int:
         try:
-            return self.ids.index(model_id)
-        except ValueError:
+            return self._rows[model_id]
+        except KeyError:
             raise KeyError(f"unknown model id {model_id!r}") from None
 
     def entry(self, id_a: str, id_b: str) -> float:
-        return float(self.values[self.index(id_a), self.index(id_b)])
+        return self.values[self.index(id_a)][self.index(id_b)]
 
     def submatrix(self, ids: Sequence[str]) -> "DistanceMatrix":
         idx = [self.index(i) for i in ids]
+
+        def pick(table: Table) -> Table:
+            return Table(tuple(map(row.__getitem__, idx)) for row in map(table.__getitem__, idx))
+
         return DistanceMatrix(
-            ids=tuple(ids),
-            values=self.values[np.ix_(idx, idx)].copy(),
-            measure=self.measure,
-            approx=self.approx[np.ix_(idx, idx)].copy(),
+            ids=tuple(ids), values=pick(self.values), measure=self.measure, approx=pick(self.approx)
         )
 
     def rounded(self) -> "DistanceMatrix":
-        """Quantized copy, matching the CSV export precision."""
+        """Quantized copy, matching the CSV export precision.
+
+        Each value is scaled by 1e6, rounded half to even and divided back,
+        as ``numpy.round(x, 6)`` does, to the same float.
+        """
         return DistanceMatrix(
             ids=self.ids,
-            values=np.round(self.values, MATRIX_DECIMALS),
+            values=[[round(x * _SCALE) / _SCALE for x in row] for row in self.values],
             measure=self.measure,
-            approx=self.approx.copy(),
+            approx=self.approx,
         )
 
 
@@ -236,9 +279,9 @@ def distance_matrix(
     else:
         results = _pairs_chunk((measure.value, features, params, pairs))
     n = len(models)
-    values = np.zeros((n, n))
-    approx = np.zeros((n, n), dtype=bool)
+    values = [[0.0] * n for _ in range(n)]
+    approx = [[False] * n for _ in range(n)]
     for i, j, value, flag in results:
-        values[i, j] = values[j, i] = value
-        approx[i, j] = approx[j, i] = flag
+        values[i][j] = values[j][i] = value
+        approx[i][j] = approx[j][i] = flag
     return DistanceMatrix(ids=ids, values=values, measure=measure.value, approx=approx)

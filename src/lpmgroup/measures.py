@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, AbstractSet, Sequence
+from functools import reduce
+from operator import add
+from typing import AbstractSet, Iterable, Sequence
 
 from .petri import BoundedLanguage, LabeledPetriNet, LocalProcessModel, Trace
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_LANG_CAP = 1000
 DEFAULT_GED_BUDGET = 1_000_000
@@ -60,6 +59,16 @@ def levenshtein(t1: Sequence[str], t2: Sequence[str]) -> int:
     return prev[-1]
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Add floats strictly left to right, as ``sum`` did up to Python 3.11.
+
+    From 3.12 on, ``sum`` compensates float rounding (Neumaier summation), so
+    its last bit depends on the interpreter. Every float total that reaches
+    an output or decides a comparison is taken with this fold instead.
+    """
+    return reduce(add, values, 0.0)
+
+
 def normalized_levenshtein(t1: Sequence[str], t2: Sequence[str]) -> float:
     """Edit distance divided by the longer length; two empty traces -> 0."""
     longest = max(len(t1), len(t2))
@@ -76,8 +85,10 @@ class Assignment:
     total_gain: float
 
 
-def optimal_assignment(gains: np.ndarray | Sequence[Sequence[float]]) -> Assignment:
+def optimal_assignment(gains: Sequence[Sequence[float]]) -> Assignment:
     """Maximum-gain assignment of rows to columns (rectangular allowed).
+
+    Any nested sequence of numbers is accepted, a numpy array included.
 
     Unmatched rows or columns of the larger side contribute zero gain,
     matching the zero-padded square formulation. The pairs come in row

@@ -11,16 +11,30 @@ point-by-point silhouette.
 ``enabled`` and ``fire`` are not independent: they step the library's
 compiled firing rule one ``Marking`` at a time, so tests can replay a
 sequence transition by transition.
+
+``numpy_merges`` and ``numpy_silhouette`` are the library's former numpy
+agglomeration and silhouette, kept as the reference the pure-Python ones
+must equal bit for bit.
+
+Float totals are explicit left-to-right folds (``_left_sum``): from Python
+3.12 on, ``sum`` compensates float rounding, and the library's totals do not.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
+from operator import add
 
-from lpmgroup import Marking
+import numpy as np
+
+from lpmgroup import Marking, MergeStep
 from lpmgroup.petri import _FiringRule
+
+
+def _left_sum(values) -> float:
+    return reduce(add, values, 0.0)
 
 
 def _marking_of(marking) -> dict[str, int]:
@@ -239,7 +253,7 @@ def oracle_medoid(cluster_ids, matrix) -> str:
         return ids[0]
     best_id, best_mean = None, float("inf")
     for i in ids:
-        mean = sum(matrix.entry(i, j) for j in ids if j != i) / (len(ids) - 1)
+        mean = _left_sum(matrix.entry(i, j) for j in ids if j != i) / (len(ids) - 1)
         if mean < best_mean:
             best_id, best_mean = i, mean
     return best_id
@@ -294,12 +308,62 @@ def oracle_silhouette(matrix, clusters) -> float | None:
         if len(own) == 1:
             scores.append(0.0)
             continue
-        a = sum(values[p, q] for q in own if q != p) / (len(own) - 1)
+        a = _left_sum(values[p, q] for q in own if q != p) / (len(own) - 1)
         b = min(
-            sum(values[p, q] for q in group) / len(group)
+            _left_sum(values[p, q] for q in group) / len(group)
             for g, group in enumerate(index_groups)
             if g != of_point[p]
         )
         top = max(a, b)
         scores.append(0.0 if top == 0.0 else (b - a) / top)
-    return sum(scores) / n
+    return _left_sum(scores) / n
+
+
+def numpy_merges(matrix, below: float) -> tuple[MergeStep, ...]:
+    """Complete-linkage merges while the distance < below, on a numpy
+    matrix: the first row-major argmin, then np.maximum of the two rows."""
+    n = len(matrix)
+    dist = np.array(matrix.values, dtype=float)
+    np.fill_diagonal(dist, np.inf)
+    members = [frozenset((model_id,)) for model_id in matrix.ids]
+    steps = []
+    for _ in range(n - 1):
+        i, j = divmod(int(dist.argmin()), n)
+        smallest = float(dist[i, j])
+        if not smallest < below:
+            break
+        steps.append(MergeStep(first=members[i], second=members[j], distance=smallest))
+        merged_row = np.maximum(dist[i, :], dist[j, :])
+        dist[i, :] = merged_row
+        dist[:, i] = merged_row
+        dist[i, i] = np.inf
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
+        members[i] |= members[j]
+    return tuple(steps)
+
+
+def numpy_silhouette(matrix, clusters) -> float | None:
+    """Mean silhouette width with numpy: per-cluster distance sums by cumsum
+    in member index order, then vectorized a, b and scores."""
+    n = len(matrix)
+    k = len(clusters)
+    if k <= 1 or k >= n:
+        return None
+    values = np.array(matrix.values, dtype=float)
+    groups = [sorted(matrix.index(i) for i in cluster) for cluster in clusters]
+    own = np.empty(n, dtype=int)
+    for g, group in enumerate(groups):
+        own[group] = g
+    points = np.arange(n)
+    sums = np.array([values[:, group].cumsum(axis=1)[:, -1] for group in groups])
+    sizes = np.array([len(group) for group in groups], dtype=float)
+    own_size = sizes[own]
+    a = sums[own, points] / np.maximum(own_size - 1.0, 1.0)
+    means = sums / sizes[:, None]
+    means[own, points] = np.inf
+    b = means.min(axis=0)
+    top = np.maximum(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where((own_size == 1.0) | (top == 0.0), 0.0, (b - a) / top)
+    return _left_sum(scores.tolist()) / n

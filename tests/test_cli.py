@@ -282,6 +282,26 @@ class TestErrors:
         assert "cannot load matrix" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "csv_text, message",
+        [
+            ("id,m1,m2\nm1,0,0.5\nm2,0.5\n", "row 'm2' holds 1 of 2 distances"),
+            ("id,m1,m2\nm1,0,nan\nm2,nan,0\n", "distances must lie in [0, 1]"),
+            ("id,m1,m2\nm1,0,inf\nm2,inf,0\n", "distances must lie in [0, 1]"),
+        ],
+        ids=["short-row", "nan", "inf"],
+    )
+    def test_cached_matrix_error_names_the_fault(self, tmp_path, capsys, csv_text, message):
+        manifest = identical_manifest(tmp_path, count=2)
+        cached = tmp_path / "cached.csv"
+        cached.write_text(csv_text, encoding="utf-8")
+        code = main([
+            "cluster", "--manifest", str(manifest), "--measure", "transition",
+            "--matrix", str(cached), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "measure, flag, value",
         [
             ("efg", "--bound", "0"),
@@ -457,15 +477,16 @@ def test_cli_returns_an_exit_code_and_never_raises(fuzz_root, data):
 
 
 def test_validate_efg_and_ged_commands_do_not_import_scipy(tmp_path):
-    # No command imports scipy: it is blocked, and every command runs under
-    # every measure, sequentially and through an in-process stand-in for the
-    # process pool. validate and render load neither numpy nor the pool, and
-    # --workers 1 never loads the pool; a module-level import anywhere else
-    # would bring its import time back into every command.
+    # No command imports scipy or numpy: both are blocked, and every command
+    # runs under every measure, sequentially and through an in-process
+    # stand-in for the process pool. validate, render and --workers 1 never
+    # load the pool; a module-level import anywhere else would bring its
+    # import time back into every command.
     manifest = varied_manifest(tmp_path)
     script = f"""
 import sys
-sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+sys.modules["scipy"] = None  # any import of scipy or numpy now raises ImportError
+sys.modules["numpy"] = None
 import concurrent.futures
 from lpmgroup.cli import main
 
@@ -501,17 +522,20 @@ def run_all(workers):
         for command in ("matrix", "cluster", "diversity"):
             run(command, "--measure", measure, *reads.get(measure, []), "--workers", workers,
                 out=f"{{measure}}-{{workers}}-{{command}}")
+        cached = {str(tmp_path)!r} + f"/{{measure}}-{{workers}}-matrix/matrix_{{measure}}.csv"
+        run("cluster", "--measure", measure, "--matrix", cached, "--workers", workers,
+            out=f"{{measure}}-{{workers}}-cached")
 
 run("validate")
-unwanted = [loaded("numpy", "concurrent.futures.process")]
+unwanted = [loaded("numpy", "scipy", "concurrent.futures.process")]
 run("render", out="render")
-unwanted.append(loaded("numpy", "concurrent.futures.process"))
+unwanted.append(loaded("numpy", "scipy", "concurrent.futures.process"))
 run_all("1")
-unwanted.append(loaded("scipy", "concurrent.futures.process"))
+unwanted.append(loaded("numpy", "scipy", "concurrent.futures.process"))
 concurrent.futures.ProcessPoolExecutor = InProcessPool
 run_all("2")
 assert len(pool_maps) == 15
-unwanted.append(loaded("scipy"))
+unwanted.append(loaded("numpy", "scipy"))
 print(unwanted)
 """
     src = str(Path(lpmgroup.__file__).resolve().parents[1])

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpmgroup import (
     ClusteringParams,
@@ -17,8 +19,15 @@ from lpmgroup import (
     silhouette,
     sweep,
 )
+from lpmgroup.clustering import DEFAULT_THRESHOLDS, _merges
 from genmodels import chain_lpm, planted_groups
-from oracles import oracle_complete_linkage, oracle_medoid, oracle_silhouette
+from oracles import (
+    numpy_merges,
+    numpy_silhouette,
+    oracle_complete_linkage,
+    oracle_medoid,
+    oracle_silhouette,
+)
 
 
 def matrix_of(ids, entries) -> DistanceMatrix:
@@ -291,3 +300,52 @@ class TestRepresentatives:
         assert result.best is not None and len(result.best.clusters) == 3
         reps = representatives(result.best.clusters, "dist", ranked, matrix)
         assert len(set(reps)) == 3
+
+
+@st.composite
+def drawn_matrices(draw) -> DistanceMatrix:
+    """Any floats in [0, 1], or tie-heavy multiples k/q of one step 1/q."""
+    n = draw(st.integers(2, 14))
+    q = draw(st.sampled_from([None, 2, 3, 4, 10, 1000]))
+    cell = st.floats(0.0, 1.0) if q is None else st.integers(0, q).map(lambda k: k / q)
+    values = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i][j] = values[j][i] = draw(cell)
+    return DistanceMatrix(ids=tuple(f"m{i}" for i in range(n)), values=values, measure="drawn")
+
+
+class TestNumpyOracle:
+    """The pure-Python agglomeration, silhouette and rounding against the
+    numpy code they replaced, bit for bit."""
+
+    @settings(max_examples=300, database=None, derandomize=True, deadline=None)
+    @given(matrix=drawn_matrices(), below=st.sampled_from(DEFAULT_THRESHOLDS))
+    def test_merges_and_silhouettes_equal_numpy(self, matrix, below):
+        def bits(steps):
+            return [(s.first, s.second, s.distance.hex()) for s in steps]
+
+        assert bits(_merges(matrix, below)) == bits(numpy_merges(matrix, below))
+        for outcome in sweep(matrix).outcomes:
+            expected = numpy_silhouette(matrix, outcome.clusters)
+            got = outcome.silhouette
+            assert (got is None and expected is None) or got.hex() == expected.hex()
+
+    @settings(max_examples=300, database=None, derandomize=True, deadline=None)
+    @given(
+        cells=st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.integers(0, 2_000_000).map(lambda k: k / 2e6)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_rounded_equals_numpy_round(self, cells):
+        # k / 2e6 hits every half-way point of the sixth decimal
+        n = len(cells) + 1
+        values = [[0.0] * n for _ in range(n)]
+        for k, cell in enumerate(cells):
+            values[0][k + 1] = values[k + 1][0] = cell
+        matrix = DistanceMatrix(ids=tuple(f"m{i}" for i in range(n)), values=values, measure="drawn")
+        want = np.round(np.asarray(matrix.values), 6).tolist()
+        got = matrix.rounded().values
+        assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]

@@ -34,11 +34,21 @@ class TestDistanceMatrixType:
         with pytest.raises(ValueError):
             DistanceMatrix(ids=("a", "b"), values=values, measure="transition")
 
+    def test_unknown_id_raises_key_error(self):
+        matrix = DistanceMatrix(ids=("a", "b"), values=np.zeros((2, 2)), measure="transition")
+        assert matrix.index("b") == 1
+        with pytest.raises(KeyError, match="unknown model id 'z'"):
+            matrix.index("z")
+
     def test_submatrix_keeps_entries(self):
         values = np.array([[0.0, 0.2, 0.4], [0.2, 0.0, 0.6], [0.4, 0.6, 0.0]])
-        matrix = DistanceMatrix(ids=("a", "b", "c"), values=values, measure="transition")
+        approx = [[False, False, True], [False, False, False], [True, False, False]]
+        matrix = DistanceMatrix(ids=("a", "b", "c"), values=values, measure="transition", approx=approx)
         sub = matrix.submatrix(["c", "a"])
         assert sub.entry("c", "a") == matrix.entry("a", "c") == 0.4
+        assert sub.approx == ((False, True), (True, False)) and sub.index("a") == 1
+        with pytest.raises(ValueError, match="unique"):
+            matrix.submatrix(["a", "a"])
 
 
 class TestMatrixParams:
@@ -53,7 +63,7 @@ class TestDistanceMatrixComputation:
     def test_identical_models_are_all_zero(self):
         models = [chain_lpm("a", ["x", "y"]), chain_lpm("b", ["x", "y"])]
         matrix = distance_matrix(models, Measure.TRANSITION)
-        assert np.all(matrix.values == 0.0)
+        assert np.all(np.asarray(matrix.values) == 0.0)
 
     @pytest.mark.parametrize("measure", list(Measure), ids=str)
     def test_entries_equal_scalar_recomputation(self, measure):
@@ -81,8 +91,9 @@ class TestDistanceMatrixComputation:
         params = MatrixParams(bound=4, ged_budget=50_000)
         for measure in Measure:
             matrix = distance_matrix(models, measure, params)
-            assert np.array_equal(matrix.values, matrix.values.T)
-            assert matrix.values.min() >= 0.0 and matrix.values.max() <= 1.0
+            values = np.asarray(matrix.values)
+            assert np.array_equal(values, values.T)
+            assert values.min() >= 0.0 and values.max() <= 1.0
 
     def test_invariant_under_input_permutation(self):
         rng = random.Random(53)

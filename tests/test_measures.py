@@ -286,7 +286,8 @@ class TestEfg:
             xor_lpm("x", "T0", ["T3", "T4"]),
         ]
         dm = distance_matrix(models, "efg", MatrixParams(bound=10))
-        assert dm.approx[0, 1:].all() and not dm.approx[1:, 1:].any()
+        approx = np.asarray(dm.approx)
+        assert approx[0, 1:].all() and not approx[1:, 1:].any()
         languages = [bounded_language(m, 10, cap=1_000_000) for m in models]
         assert not any(lang.truncated for lang in languages)
         relations = [ef_relation(lang) for lang in languages]
