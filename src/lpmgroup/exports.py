@@ -25,6 +25,7 @@ if TYPE_CHECKING:
     from .matrix import DistanceMatrix
 
 MATRIX_DECIMALS = 6  # the CSV precision; matrices are rounded to it before clustering
+_CSV_SPECIAL = frozenset(',"\r\n')  # characters that make csv quote a field
 
 
 def _fixed(value: float) -> str:
@@ -52,10 +53,15 @@ def _write_json(path: Path | str, payload: dict) -> None:
 
 
 def matrix_to_csv(matrix: DistanceMatrix) -> str:
-    return _csv(
-        ["id", *matrix.ids],
-        ([model_id, *map(_fixed, row)] for model_id, row in zip(matrix.ids, matrix.values)),
-    )
+    """The header and ids through ``csv``; each row's values in one ``%`` call,
+    the same digits as formatting every cell with ``f"{value:.6f}"``."""
+    row_format = f",%.{MATRIX_DECIMALS}f" * len(matrix.ids) + "\n"
+    lines = [_csv(["id", *matrix.ids], ())]
+    for model_id, row in zip(matrix.ids, matrix.values):
+        # an id holding a delimiter, quote or line break gets csv's quoting
+        cell = _csv([model_id], ())[:-1] if _CSV_SPECIAL.intersection(model_id) else model_id
+        lines.append(cell + row_format % tuple(row))
+    return "".join(lines)
 
 
 def _flags_path(path: Path) -> Path:

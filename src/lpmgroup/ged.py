@@ -12,16 +12,20 @@ counts the search nodes expanded and is independent of argument order: the
 pair is canonically oriented first.
 
 A pair is compiled once to integer indices and lookup tables: the
-node-cost table, the arc directions between every two A nodes, per B node
-the bitmasks of its arc targets and sources, the cost of deleting each A
-node and the column minima of the node costs below each search depth. The
-search state is the decided prefix, its cost, the used B nodes as one
-bitmask and the count of B arcs not between two used nodes. Nets are
-bipartite, so that count, and with it the lower bound, depends on the depth
-and the used B nodes alone: the bound is memoized on that key, up to a
-fixed number of entries per pair, and a cached bound is the very float a
-recomputation gives. One routine gives the step costs of deciding A's next
-node, for the search's candidates and the seeded incumbent alike.
+node-cost table, per B node the bitmasks of its arc targets and sources,
+the cost of deleting each A node, the column minima of the node costs below
+each search depth, and a step-cost context per A node i, earlier A node k
+and B node l of k, (i -> k, k -> i, bit of l, node cost of k to l), with one
+more entry for a deleted k. The search is one loop over a stack of frames,
+one per decided depth: the rest of that node's sorted candidates, its
+prefix cost and the B nodes it leaves free. Each candidate carries its step
+cost, the used B nodes as one bitmask and the count of B arcs not between
+two used nodes. Nets are bipartite, so that count, and with it the lower
+bound, depends on the depth and the used B nodes alone: the bound is
+memoized on that key, up to a fixed number of entries per pair; the loop
+reads the memo and computes a bound only on a miss, and a cached bound is
+the very float a recomputation gives. One routine builds the candidates,
+for the search and the seeded incumbent alike.
 
 The incumbent comes from a node-cost-optimal assignment, solved by
 ``measures._lsap``: the package's one assignment solver, which ``node`` and
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
+from operator import getitem
 
 from .measures import DEFAULT_GED_BUDGET, _lsap, _ordered, left_sum, place_gain
 from .petri import LocalProcessModel
@@ -78,36 +83,30 @@ class _GedSearch:
             self.b_in[pos_b[x]] |= 1 << pos_b[v]
         # deleting A node i also deletes its arcs to the earlier nodes
         self.delete_cost = [1.0 + sum(ik + ki for ik, ki in dirs) for dirs in self.a_dirs]
+        # step-cost context of A node i against earlier node k mapped to B node
+        # l, ctx[i][k][l] = (a_ik, a_ki, 1 << l, ns[k][l]); column n_b: k deleted
+        self.ctx = [[[(ik, ki, 1 << l, ns_kl) for l, ns_kl in enumerate(ns_k)] + [(ik, ki, 0, 0.0)]
+                     for (ik, ki), ns_k in zip(dirs, self.ns)] for dirs in self.a_dirs]
         # per depth idx: the minimum of each node-cost column over rows idx..
         self.col_min = [list(map(min, zip(*self.ns[idx:]))) for idx in range(self.n_a)]
         # A-edges still unaccounted once the first idx nodes are decided
         self.a_edges_rem = [sum(1 for i, k in arcs_a if max(i, k) >= idx) for idx in range(self.n_a + 1)]
+        self.bits = [1 << j for j in range(self.n_b)]
         self.bounds: dict[int, float] = {}  # _lower_bound by (idx << n_b) | used
-        self.expansions = 0
-        self.exhausted = False
-        # fallback: delete everything in A, insert everything in B
+        # fallback: delete everything in A, insert everything in B; a
+        # node-cost-optimal assignment (edges ignored) is usually far tighter
         self.best_cost = float(net_a.size + net_b.size)
-        self._seed_greedy_incumbent()
+        if self.n_a and self.n_b:
+            cols = _lsap(_bordered(self.ns, self.n_b))[1][: self.n_a]
+            self.best_cost = min(self.best_cost, self._score([min(c, self.n_b) for c in cols]))
 
-    def _seed_greedy_incumbent(self) -> None:
-        """Start from a node-cost-optimal assignment (edges ignored); it is
-        usually a far tighter upper bound than rebuilding everything."""
-        if self.n_a == 0 or self.n_b == 0:
-            return
-        _, cols = _lsap(_bordered(self.ns, self.n_b))
-        mapping = [c if c < self.n_b else None for c in cols[: self.n_a]]
-        self.best_cost = min(self.best_cost, self._score(mapping))
-
-    def _score(self, mapping: list[int | None]) -> float:
-        """Cost of a complete mapping, added up by the steps the search takes."""
-        decided: list[int | None] = []
+    def _score(self, mapping: list[int]) -> float:
+        """Cost of a complete mapping (n_b for a deleted node), added up by the search's steps."""
+        decided: list[int] = []
         cost, used, b_left = 0.0, 0, self.n_arcs_b
         for j in mapping:
-            if j is None:
-                cost += self.delete_cost[len(decided)]
-            else:
-                cost += self._step_costs(decided, [j])[0]
-                used, b_left = used | 1 << j, b_left - self._arcs_to_used(j, used)
+            step, _, _, used, b_left = self._candidates(decided, used, b_left, [j] if j < self.n_b else [])[0]
+            cost += step
             decided.append(j)
         return self._total(cost, used, b_left)
 
@@ -115,87 +114,86 @@ class _GedSearch:
         """A complete mapping's cost: its steps, then B's inserted nodes and arcs."""
         return cost + (self.n_b - used.bit_count()) + b_left
 
-    def _arcs_to_used(self, j: int, used: int) -> int:
-        """B arcs between node j and the used B nodes: those using j settles."""
-        return (self.b_out[j] & used).bit_count() + (self.b_in[j] & used).bit_count()
-
     def _lower_bound(self, idx: int, used: int, b_left: int) -> float:
-        """Bound on the cost to come after A's first idx nodes, memoized on (idx, used)."""
-        key = idx << self.n_b | used
-        bound = self.bounds.get(key)
-        if bound is not None:
-            return bound
-        unused = [not used >> j & 1 for j in range(self.n_b)]
-        rows = self.ns[idx:]
-        ra, rb = len(rows), unused.count(True)
+        """Bound on the cost to come after A's first idx nodes, kept in ``bounds``."""
+        unused = [not used & bit for bit in self.bits]
+        ra, rb = self.n_a - idx, self.n_b - used.bit_count()
         if ra and rb:
-            row = left_sum(map(min, map(compress, rows, repeat(unused)))) + max(0, rb - ra)
-            col = left_sum(compress(self.col_min[idx], unused)) + max(0, ra - rb)
-            node_bound = max(row, col)
+            row = left_sum(map(min, map(compress, self.ns[idx:], repeat(unused)))) + (rb - ra if rb > ra else 0)
+            col = left_sum(compress(self.col_min[idx], unused)) + (ra - rb if ra > rb else 0)
+            node_bound = row if row > col else col
         else:
             node_bound = float(ra + rb)
         bound = node_bound + abs(self.a_edges_rem[idx] - b_left)
         if len(self.bounds) < _BOUND_MEMO_CAP:
-            self.bounds[key] = bound
+            self.bounds[idx << self.n_b | used] = bound
         return bound
 
-    def _step_costs(self, decided: list[int | None], js: list[int]) -> list[float]:
-        """Cost of mapping the next A node i to each B node j in js: its node
-        cost, then the arcs between i and each decided node k, in k order;
-        ``bit_l`` is the bit of k's B node l, 0 when k is deleted."""
+    def _candidates(self, decided: list[int], used: int, b_left: int, js: list[int]) -> list[tuple]:
+        """The steps deciding A's next node i: mapping it to each B node j in
+        js, then deleting it, as (step cost, 0 | 1 for delete, j, used, b_left)
+        after the step. A step costs i's node cost, then the arcs between i and
+        each decided node k, in k order; ``bit_l`` is 0 when k is deleted."""
         i = len(decided)
-        ns_i = self.ns[i]
-        ctx = [(a_ik, a_ki, 0, 0.0) if l is None else (a_ik, a_ki, 1 << l, ns_k[l])
-               for (a_ik, a_ki), ns_k, l in zip(self.a_dirs[i], self.ns, decided)]
-        costs = []
+        ns_i, b_out, b_in = self.ns[i], self.b_out, self.b_in
+        ctx = list(map(getitem, self.ctx[i], decided))
+        steps = []
         for j in js:
             ns_ij = cost = ns_i[j]
-            out_j, in_j = self.b_out[j], self.b_in[j]
+            out_j, in_j = b_out[j], b_in[j]
             for a_ik, a_ki, bit_l, ns_kl in ctx:
                 if not bit_l:
                     cost += a_ik + a_ki
                     continue
-                b_jl, b_lj = out_j & bit_l, in_j & bit_l
-                if a_ik and b_jl:
-                    cost += 0.5 * (ns_ij + ns_kl)
-                elif a_ik or b_jl:
+                if a_ik:
+                    cost += 0.5 * (ns_ij + ns_kl) if out_j & bit_l else 1.0
+                elif out_j & bit_l:
                     cost += 1.0
-                if a_ki and b_lj:
-                    cost += 0.5 * (ns_ij + ns_kl)
-                elif a_ki or b_lj:
+                if a_ki:
+                    cost += 0.5 * (ns_ij + ns_kl) if in_j & bit_l else 1.0
+                elif in_j & bit_l:
                     cost += 1.0
-            costs.append(cost)
-        return costs
+            # using j settles B's arcs between j and the used nodes
+            steps.append((cost, 0, j, used | 1 << j, b_left - (out_j & used).bit_count() - (in_j & used).bit_count()))
+        steps.append((self.delete_cost[i], 1, self.n_b, used, b_left))
+        return steps
 
     def run(self) -> GedResult:
-        self._dfs([], 0.0, 0, self.n_arcs_b)
-        return GedResult(cost=self.best_cost, exact=not self.exhausted, expansions=self.expansions)
-
-    def _dfs(self, decided: list[int | None], cost: float, used: int, b_left: int) -> None:
-        idx = len(decided)
-        if idx == self.n_a:
-            self.best_cost = min(self.best_cost, self._total(cost, used, b_left))
-            return
-        # step cost, then map before delete, then B id order
-        free = [j for j in range(self.n_b) if not used >> j & 1]
-        candidates = [*zip(self._step_costs(decided, free), repeat(0), free), (self.delete_cost[idx], 1, None)]
-        candidates.sort()
-        for step_cost, _, j in candidates:
-            if self.expansions >= self.budget:
-                self.exhausted = True
-                return
-            self.expansions += 1
-            new_cost = cost + step_cost
-            if j is None:
-                new_used, new_left = used, b_left
-            else:
-                new_used, new_left = used | 1 << j, b_left - self._arcs_to_used(j, used)
-            if new_cost + self._lower_bound(idx + 1, new_used, new_left) < self.best_cost:
-                decided.append(j)
-                self._dfs(decided, new_cost, new_used, new_left)
-                decided.pop()
-                if self.exhausted:
-                    return
+        """Depth first, candidates by step cost, then map before delete, then B id order."""
+        n_a, n_b, budget, bounds = self.n_a, self.n_b, self.budget, self.bounds
+        candidates, lower_bound, total = self._candidates, self._lower_bound, self._total
+        best, expansions, exhausted = self.best_cost, 0, False
+        decided: list[int] = []
+        free = list(range(n_b))
+        # with no A node the fallback is the only mapping
+        stack = [(iter(sorted(candidates(decided, 0, self.n_arcs_b, free))), 0.0, free)] if n_a else []
+        while stack:
+            rest, cost, free = stack[-1]
+            idx = len(stack)  # A nodes decided after the step
+            for step, _, j, used, b_left in rest:
+                if expansions >= budget:
+                    exhausted = True
+                    stack.clear()
+                    break
+                expansions += 1
+                new_cost = cost + step
+                bound = bounds.get(idx << n_b | used)
+                if bound is None:
+                    bound = lower_bound(idx, used, b_left)
+                if new_cost + bound < best:
+                    if idx == n_a:
+                        best = min(best, total(new_cost, used, b_left))
+                        continue
+                    decided.append(j)
+                    if j < n_b:
+                        free = free.copy()
+                        free.remove(j)
+                    stack.append((iter(sorted(candidates(decided, used, b_left, free))), new_cost, free))
+                    break
+            else:  # every candidate tried: back to the parent frame
+                stack.pop()
+                del decided[-1:]
+        return GedResult(cost=best, exact=not exhausted, expansions=expansions)
 
 
 def _bordered(ns: list[list[float]], n_b: int) -> list[list[float]]:

@@ -19,7 +19,6 @@ from operator import add
 from typing import Callable, Sequence
 
 from .exports import MATRIX_DECIMALS
-from .ged import ged_similarity
 from .measures import (
     DEFAULT_GED_BUDGET,
     DEFAULT_LANG_CAP,
@@ -198,6 +197,8 @@ def _exact(kernel: Callable[[object, object], float]):
 
 
 def _ged(fa: LocalProcessModel, fb: LocalProcessModel, params: MatrixParams) -> tuple[float, bool]:
+    from .ged import ged_similarity  # imported only here: no other measure compiles the search
+
     sim, exact = ged_similarity(fa, fb, params.ged_budget)
     return sim, not exact
 

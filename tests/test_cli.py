@@ -481,7 +481,8 @@ def test_validate_efg_and_ged_commands_do_not_import_scipy(tmp_path):
     # runs under every measure, sequentially and through an in-process
     # stand-in for the process pool. validate, render and --workers 1 never
     # load the pool; a module-level import anywhere else would bring its
-    # import time back into every command.
+    # import time back into every command. Only the ged measure loads the
+    # GED search module.
     manifest = varied_manifest(tmp_path)
     script = f"""
 import sys
@@ -516,9 +517,9 @@ def run(command, *flags, out=None):
         argv += ["--out", {str(tmp_path)!r} + "/" + out]
     assert main(argv) == 0, argv
 
-def run_all(workers):
+def run_all(workers, measures=("transition", "node", "efg", "full", "ged")):
     reads = {{"efg": ["--bound", "4"], "full": ["--bound", "4"], "ged": ["--ged-budget", "500"]}}
-    for measure in ("transition", "node", "efg", "full", "ged"):
+    for measure in measures:
         for command in ("matrix", "cluster", "diversity"):
             run(command, "--measure", measure, *reads.get(measure, []), "--workers", workers,
                 out=f"{{measure}}-{{workers}}-{{command}}")
@@ -527,15 +528,18 @@ def run_all(workers):
             out=f"{{measure}}-{{workers}}-cached")
 
 run("validate")
-unwanted = [loaded("numpy", "scipy", "concurrent.futures.process")]
+unwanted = [loaded("numpy", "scipy", "concurrent.futures.process", "lpmgroup.ged")]
 run("render", out="render")
-unwanted.append(loaded("numpy", "scipy", "concurrent.futures.process"))
-run_all("1")
+unwanted.append(loaded("numpy", "scipy", "concurrent.futures.process", "lpmgroup.ged"))
+run_all("1", ("transition", "node", "efg", "full"))
+unwanted.append(loaded("numpy", "scipy", "concurrent.futures.process", "lpmgroup.ged"))
+run_all("1", ("ged",))
 unwanted.append(loaded("numpy", "scipy", "concurrent.futures.process"))
 concurrent.futures.ProcessPoolExecutor = InProcessPool
 run_all("2")
 assert len(pool_maps) == 15
 unwanted.append(loaded("numpy", "scipy"))
+assert loaded("lpmgroup.ged") == ["lpmgroup.ged"]
 print(unwanted)
 """
     src = str(Path(lpmgroup.__file__).resolve().parents[1])
@@ -543,7 +547,7 @@ print(unwanted)
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300, check=True
     )
-    assert done.stdout.splitlines()[-1] == "[[], [], [], []]"
+    assert done.stdout.splitlines()[-1] == "[[], [], [], [], []]"
 
 
 def test_package_exports_resolve_on_first_use():

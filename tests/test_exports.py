@@ -1,6 +1,8 @@
 """CSV/JSON/DOT exports: formats, round-trips, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import random
 
@@ -18,6 +20,7 @@ from lpmgroup import (
     export_matrix,
     export_reports,
     load_matrix,
+    matrix_to_csv,
     ReductionCurve,
     reduction_curve,
     representatives,
@@ -35,6 +38,30 @@ class TestMatrixExport:
         assert lines[0] == "id,a,b"
         assert lines[1] == "a,0.000000,0.000000"
         assert len(lines) == 3
+
+    def test_rows_match_per_cell_formatting_byte_for_byte(self):
+        """Half-way values k/2e6 round in the last printed digit, and ids with
+        commas, quotes or line breaks need csv quoting; the row-at-a-time
+        writer must give the bytes of formatting every cell on its own."""
+        rng = random.Random(71)
+        ids = ("plain", "with,comma", 'with"quote', '"both",', "line\nbreak", "cr\rid", "", "m7", "m8", "m9")
+        n = len(ids)
+        values = [[0.0] * n for _ in range(n)]
+        half_way = []  # odd k
+        for i in range(n):
+            for j in range(i + 1, n):
+                k = rng.randrange(1, 2_000_000, 2)
+                values[i][j] = values[j][i] = rng.choice([k / 2e6, rng.random(), 1.0])
+                if values[i][j] == k / 2e6:
+                    half_way.append(k)
+        matrix = DistanceMatrix(ids=ids, values=values, measure="rnd")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id", *ids])
+        writer.writerows([model_id, *(f"{v:.6f}" for v in row)] for model_id, row in zip(ids, values))
+        assert matrix_to_csv(matrix) == buf.getvalue()
+        # the half-way cells round both down and up
+        assert {round(float(f"{k / 2e6:.6f}") * 2e6) - k for k in half_way} == {-1, 1}
 
     def test_export_load_export_is_byte_identical(self, tmp_path):
         rng = random.Random(5)
