@@ -84,7 +84,8 @@ def _add_common(parser: argparse.ArgumentParser, with_measure: bool = True) -> N
         parser.add_argument("--enum-cap", type=int, default=None, help="max firing-sequence prefixes per model: full "
                             f"stops enumerating there and flags the model; efg only sets the flag (default {DEFAULT_ENUM_CAP})")
         parser.add_argument("--ged-budget", type=int, default=None, help=f"search-node budget per ged pair (default {DEFAULT_GED_BUDGET})")
-        parser.add_argument("--workers", type=int, default=1, help="worker processes for pairwise distances")
+        parser.add_argument("--workers", type=int, default=1, help="processes for pairwise distances, this one "
+                            "included; at most one per usable CPU, one where os.fork is missing (default 1)")
 
 
 def build_parser() -> _Parser:

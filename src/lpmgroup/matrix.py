@@ -3,17 +3,27 @@
 ``MEASURES`` is the one dispatch over the five measures: per measure, a
 ``featurize`` step run once per model, a ``compare`` step run per pair, and
 the ``MatrixParams`` fields the two read. ``similarity``/``distance`` (one
-pair), ``distance_matrix`` (all pairs, optionally on a process pool) and
-the CLI's parameter notices all read this table. Matrices are identical
-regardless of worker count or scheduling.
+pair), ``distance_matrix`` (all pairs) and the CLI's parameter notices all
+read this table.
+
+``distance_matrix`` splits the pairs by stride over ``workers`` processes,
+the calling one included, at most one per CPU this process may run on. The
+extra processes are forked children: they inherit the features and loaded
+modules, compute their stride and send the results back over a pipe with
+``marshal``, which keeps every float bit-exact. Where ``os.fork`` does not
+exist, the pairs run in the calling process. A child holds only the forking
+thread, so a caller that runs other threads keeps ``workers`` at 1.
+Matrices are identical regardless of worker count or scheduling.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 from dataclasses import dataclass, field
 from functools import reduce
+from importlib import import_module
 from itertools import chain
 from operator import add
 from typing import Callable, Sequence
@@ -167,6 +177,7 @@ class MeasureSpec:
     featurize: Callable[[LocalProcessModel, MatrixParams], tuple[object, bool]]
     compare: Callable[[object, object, MatrixParams], tuple[float, bool]]
     reads: tuple[str, ...]  # the MatrixParams fields the measure depends on
+    loads: str | None = None  # a module compare imports on first use, loaded once before any fork
 
 
 def _model(model: LocalProcessModel, params: MatrixParams) -> tuple[object, bool]:
@@ -208,7 +219,7 @@ MEASURES: dict[Measure, MeasureSpec] = {
     Measure.NODE: MeasureSpec(_model, _exact(sim_node), ()),
     Measure.EFG: MeasureSpec(_ef, _exact(dice), ("bound", "enum_cap")),
     Measure.FULL: MeasureSpec(_traces, _exact(_full_from_traces), ("bound", "lang_cap", "enum_cap")),
-    Measure.GED: MeasureSpec(_model, _ged, ("ged_budget",)),
+    Measure.GED: MeasureSpec(_model, _ged, ("ged_budget",), loads=".ged"),
 }
 
 
@@ -237,15 +248,100 @@ def distance(
     return 1.0 - similarity(measure, a, b, **params)
 
 
-def _pairs_chunk(args) -> list[tuple[int, int, float, bool]]:
-    measure_value, features, params, pairs = args
-    compare = MEASURES[Measure(measure_value)].compare
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stride(compare, features, params: MatrixParams, pairs) -> list[tuple[float, bool]]:
     out = []
     for i, j in pairs:
         (fa, approx_a), (fb, approx_b) = features[i], features[j]
         sim, approx = compare(fa, fb, params)
-        out.append((i, j, 1.0 - sim, approx_a or approx_b or approx))
+        out.append((1.0 - sim, approx_a or approx_b or approx))
     return out
+
+
+def _child(compare, features, params: MatrixParams, pairs, write_end: int, inherited: list[int]) -> None:
+    """Body of a forked child: compute one stride, send it, never return.
+
+    ``inherited`` are the read ends the child got by the fork, its own and
+    the earlier children's; closing them leaves the parent as the only reader.
+    """
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            message = marshal.dumps((True, _stride(compare, features, params, pairs)))
+        except BaseException as exc:
+            import pickle
+
+            try:
+                error = pickle.dumps(exc)
+                pickle.loads(error)  # an exception that does not round-trip is sent as text
+            except Exception:
+                error = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            message = marshal.dumps((False, error))
+        with open(write_end, "wb") as pipe:
+            pipe.write(message)
+        code = 0
+    finally:
+        # never unwind into the caller's stack or flush its inherited stdio
+        os._exit(code)
+
+
+def _received(pid: int, read_end: int) -> list[tuple[float, bool]]:
+    """Read one child's stride to the end of its pipe, reap the child and unpack."""
+    try:
+        with open(read_end, "rb") as pipe:
+            message = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise RuntimeError(f"pair worker {pid} was killed by signal {-code}")
+    if code:
+        raise RuntimeError(f"pair worker {pid} exited with status {code}")
+    ok, payload = marshal.loads(message)
+    if not ok:
+        import pickle
+
+        raise pickle.loads(payload)
+    return payload
+
+
+def _stride_results(compare, features, params: MatrixParams, strides) -> list[list[tuple[float, bool]]]:
+    """Every stride's results; strides after the first run in forked children.
+
+    On any failure the parent first closes the read ends it still holds, so
+    that a child blocked on a full pipe gets EPIPE, then reaps every child
+    and raises; no partial result is returned.
+    """
+    children: list[tuple[int, int]] = []  # (pid, read end), not yet reaped
+    try:
+        for pairs in strides[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _child(compare, features, params, pairs, write_end, [read_end, *(fd for _, fd in children)])
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [_stride(compare, features, params, strides[0])]
+        while children:
+            results.append(_received(*children.pop(0)))
+        return results
+    finally:
+        for _, read_end in children:
+            os.close(read_end)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
 
 
 def distance_matrix(
@@ -261,28 +357,18 @@ def distance_matrix(
     ids = tuple(m.id for m in models)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate model ids in the input set")
-    featurize = MEASURES[measure].featurize
-    features = [featurize(m, params) for m in models]
+    spec = MEASURES[measure]
+    if spec.loads:
+        import_module(spec.loads, __package__)  # once here, not once per forked child
+    features = [spec.featurize(m, params) for m in models]
     pairs = [(i, j) for i in range(len(models)) for j in range(i + 1, len(models))]
-    if params.workers > 1 and len(pairs) > 1:
-        chunk_count = min(len(pairs), params.workers * 4)
-        chunks = [
-            (measure.value, features, params, pairs[k::chunk_count]) for k in range(chunk_count)
-        ]
-        results: list[tuple[int, int, float, bool]] = []
-        # imported only here: sequential runs never load the process pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        # under fork the pool starts every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(params.workers, os.cpu_count() or 1)) as pool:
-            for part in pool.map(_pairs_chunk, chunks):
-                results.extend(part)
-    else:
-        results = _pairs_chunk((measure.value, features, params, pairs))
+    procs = min(params.workers, _usable_cpus(), len(pairs)) if hasattr(os, "fork") else 1
+    strides = [pairs[k::procs] for k in range(procs)]
+    results = _stride_results(spec.compare, features, params, strides)
     n = len(models)
     values = [[0.0] * n for _ in range(n)]
     approx = [[False] * n for _ in range(n)]
-    for i, j, value, flag in results:
+    for (i, j), (value, flag) in zip(chain.from_iterable(strides), chain.from_iterable(results)):
         values[i][j] = values[j][i] = value
         approx[i][j] = approx[j][i] = flag
     return DistanceMatrix(ids=ids, values=values, measure=measure.value, approx=approx)

@@ -478,38 +478,36 @@ def test_cli_returns_an_exit_code_and_never_raises(fuzz_root, data):
 
 def test_validate_efg_and_ged_commands_do_not_import_scipy(tmp_path):
     # No command imports scipy or numpy: both are blocked, and every command
-    # runs under every measure, sequentially and through an in-process
-    # stand-in for the process pool. validate, render and --workers 1 never
-    # load the pool; a module-level import anywhere else would bring its
-    # import time back into every command. Only the ged measure loads the
-    # GED search module.
+    # runs under every measure, sequentially and with two processes. No
+    # command loads concurrent.futures or multiprocessing; a module-level
+    # import anywhere would bring its import time back into every command.
+    # Forks are counted with two usable CPUs: validate, render, --workers 1
+    # and a cached matrix never fork, every other --workers 2 call forks
+    # once. Only the ged measure loads the GED search module.
     manifest = varied_manifest(tmp_path)
     script = f"""
+import os
 import sys
 sys.modules["scipy"] = None  # any import of scipy or numpy now raises ImportError
 sys.modules["numpy"] = None
-import concurrent.futures
 from lpmgroup.cli import main
 
 def loaded(*names):
     return sorted(m for m, module in sys.modules.items()
                   if module is not None and any(m == n or m.startswith(n + ".") for n in names))
 
-pool_maps = []
+forks = []
+real_fork = os.fork
 
-class InProcessPool:
-    def __init__(self, max_workers):
-        pass
+def counting_fork():
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        pool_maps.append(fn)
-        return map(fn, items)
+os.fork = counting_fork
+os.sched_getaffinity = lambda pid: {{0, 1}}
+os.cpu_count = lambda: 2
 
 def run(command, *flags, out=None):
     argv = [command, "--manifest", {str(manifest)!r}, *flags]
@@ -527,18 +525,19 @@ def run_all(workers, measures=("transition", "node", "efg", "full", "ged")):
         run("cluster", "--measure", measure, "--matrix", cached, "--workers", workers,
             out=f"{{measure}}-{{workers}}-cached")
 
+unwanted_names = ("numpy", "scipy", "concurrent.futures", "multiprocessing", "lpmgroup.ged")
 run("validate")
-unwanted = [loaded("numpy", "scipy", "concurrent.futures.process", "lpmgroup.ged")]
+unwanted = [loaded(*unwanted_names)]
 run("render", out="render")
-unwanted.append(loaded("numpy", "scipy", "concurrent.futures.process", "lpmgroup.ged"))
+unwanted.append(loaded(*unwanted_names))
 run_all("1", ("transition", "node", "efg", "full"))
-unwanted.append(loaded("numpy", "scipy", "concurrent.futures.process", "lpmgroup.ged"))
+unwanted.append(loaded(*unwanted_names))
 run_all("1", ("ged",))
-unwanted.append(loaded("numpy", "scipy", "concurrent.futures.process"))
-concurrent.futures.ProcessPoolExecutor = InProcessPool
+unwanted.append(loaded(*unwanted_names[:-1]))
+assert forks == []
 run_all("2")
-assert len(pool_maps) == 15
-unwanted.append(loaded("numpy", "scipy"))
+assert len(forks) == 15
+unwanted.append(loaded(*unwanted_names[:-1]))
 assert loaded("lpmgroup.ged") == ["lpmgroup.ged"]
 print(unwanted)
 """

@@ -1,11 +1,16 @@
-"""Distance matrix assembly: determinism, flags, worker equivalence."""
+"""Distance matrix assembly: determinism, flags, worker equivalence, forked pairs."""
 
 import os
 import random
+import signal
+import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import lpmgroup
 from lpmgroup import (
     DistanceMatrix,
     Measure,
@@ -13,7 +18,26 @@ from lpmgroup import (
     distance,
     distance_matrix,
 )
+from lpmgroup.matrix import MEASURES, MeasureSpec
 from genmodels import chain_lpm, random_lpm
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pin the usable CPUs to two and record the pid of every ``os.fork``."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return pids
 
 
 class TestDistanceMatrixType:
@@ -106,42 +130,14 @@ class TestDistanceMatrixComputation:
                 assert a.entry(x.id, y.id) == b.entry(x.id, y.id)
 
     @pytest.mark.parametrize("measure", list(Measure), ids=str)
-    def test_worker_pool_matches_sequential(self, measure):
+    def test_worker_pool_matches_sequential(self, measure, forks):
         rng = random.Random(57)
         models = [random_lpm(rng, f"m{k}", max_transitions=4, max_places=3) for k in range(7)]
         seq = distance_matrix(models, measure, MatrixParams(bound=4, ged_budget=5_000, workers=1))
         par = distance_matrix(models, measure, MatrixParams(bound=4, ged_budget=5_000, workers=3))
+        assert len(forks) == 1  # three workers asked for, two usable CPUs
         assert np.array_equal(seq.values, par.values)
         assert np.array_equal(seq.approx, par.approx)
-
-    @pytest.mark.parametrize("cpus, expected", [(2, 2), (None, 1)])
-    def test_pool_size_is_bounded_by_cpu_count(self, monkeypatch, cpus, expected):
-        import concurrent.futures
-
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # distance_matrix imports the pool from concurrent.futures when it needs one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        rng = random.Random(59)
-        models = [random_lpm(rng, f"m{k}", max_transitions=4, max_places=3) for k in range(5)]
-        seq = distance_matrix(models, Measure.NODE, MatrixParams(workers=1))
-        wide = distance_matrix(models, Measure.NODE, MatrixParams(workers=5000))
-        assert sizes == [expected]
-        assert np.array_equal(seq.values, wide.values)
 
     def test_truncated_language_sets_approx_flag(self):
         models = [chain_lpm("a", ["x", "y", "z"]), chain_lpm("b", ["x", "y"])]
@@ -153,3 +149,145 @@ class TestDistanceMatrixComputation:
         models = [random_lpm(rng, f"m{k}", max_transitions=8, max_places=6) for k in range(2)]
         matrix = distance_matrix(models, Measure.GED, MatrixParams(ged_budget=3))
         assert matrix.approx[0, 1]
+
+
+def _stub_measure(monkeypatch, compare):
+    """Make ``node`` compare model ids with ``compare``; models need only an id."""
+    spec = MeasureSpec(lambda model, params: (model.id, False), compare, ())
+    monkeypatch.setitem(MEASURES, Measure.NODE, spec)
+    return [SimpleNamespace(id=f"m{k}") for k in range(300)]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Unpicklable(Exception):
+    def __init__(self, detail, code):
+        super().__init__(f"{detail} ({code})")
+
+
+class TestForkedPairs:
+    @pytest.mark.parametrize(
+        "workers, n_models, expected",
+        [(1, 5, 0), (5000, 5, 1), (5000, 2, 0)],
+        ids=["one-worker", "more-workers-than-cpus", "one-pair"],
+    )
+    def test_forks_are_bounded_by_usable_cpus(self, forks, workers, n_models, expected):
+        rng = random.Random(59)
+        models = [random_lpm(rng, f"m{k}", max_transitions=4, max_places=3) for k in range(n_models)]
+        seq = distance_matrix(models, Measure.NODE, MatrixParams(workers=1))
+        forks.clear()
+        wide = distance_matrix(models, Measure.NODE, MatrixParams(workers=workers))
+        assert len(forks) == expected
+        assert np.array_equal(seq.values, wide.values)
+        _no_child_left()
+
+    @pytest.mark.parametrize(
+        "affinity, cpus, expected",
+        [({0}, 2, 0), (None, 2, 1), (None, 1, 0), (None, None, 0)],
+        ids=["affinity-1-of-2", "no-affinity-2-cpus", "no-affinity-1-cpu", "no-affinity-unknown"],
+    )
+    def test_forks_follow_the_affinity_mask(self, forks, monkeypatch, affinity, cpus, expected):
+        # cpu_count counts the host; the affinity mask, where the OS has
+        # one, counts the CPUs this process may run on
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rng = random.Random(59)
+        models = [random_lpm(rng, f"m{k}", max_transitions=4, max_places=3) for k in range(5)]
+        distance_matrix(models, Measure.NODE, MatrixParams(workers=5000))
+        assert len(forks) == expected
+
+    def test_children_inherit_the_compare_module(self, forks, monkeypatch):
+        # the parent loads the GED search before it forks, so no child
+        # compiles it again
+        loaded_at_fork = []
+        counting_fork = os.fork
+
+        def fork():
+            loaded_at_fork.append("lpmgroup.ged" in sys.modules)
+            return counting_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.delitem(sys.modules, "lpmgroup.ged", raising=False)
+        monkeypatch.delattr(lpmgroup, "ged", raising=False)
+        rng = random.Random(59)
+        models = [random_lpm(rng, f"m{k}", max_transitions=4, max_places=3) for k in range(4)]
+        distance_matrix(models, Measure.GED, MatrixParams(ged_budget=500, workers=2))
+        assert loaded_at_fork == [True] and len(forks) == 1
+
+    def test_without_fork_the_pairs_run_in_process(self, forks, monkeypatch):
+        rng = random.Random(59)
+        models = [random_lpm(rng, f"m{k}", max_transitions=4, max_places=3) for k in range(5)]
+        seq = distance_matrix(models, Measure.NODE, MatrixParams(workers=1))
+        monkeypatch.delattr(os, "fork")
+        wide = distance_matrix(models, Measure.NODE, MatrixParams(workers=5000))
+        assert np.array_equal(seq.values, wide.values)
+
+    @pytest.mark.parametrize(
+        "error, raised, message",
+        [
+            (ValueError("bad pair"), ValueError, "^bad pair$"),
+            (_Unpicklable("odd", 3), RuntimeError, r"^_Unpicklable: odd \(3\)$"),
+        ],
+        ids=["picklable", "unpicklable"],
+    )
+    def test_a_child_exception_is_raised_in_the_parent(self, forks, monkeypatch, error, raised, message):
+        parent = os.getpid()
+
+        def compare(fa, fb, params):
+            if os.getpid() != parent:
+                raise error
+            return 0.5, False
+
+        models = _stub_measure(monkeypatch, compare)
+        with pytest.raises(raised, match=message):
+            distance_matrix(models, Measure.NODE, MatrixParams(workers=2))
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_a_child_killed_by_a_signal_raises(self, forks, monkeypatch):
+        parent = os.getpid()
+
+        def compare(fa, fb, params):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return 0.5, False
+
+        models = _stub_measure(monkeypatch, compare)
+        with pytest.raises(RuntimeError, match="killed by signal 9"):
+            distance_matrix(models, Measure.NODE, MatrixParams(workers=2))
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_a_failing_parent_releases_a_child_blocked_on_its_pipe(self, forks, monkeypatch):
+        # the child's 22,425 results outgrow the pipe buffer, so it blocks
+        # writing them until the parent closes the read end; a parent that
+        # reaped before closing would wait forever, which the alarm turns
+        # into a failure
+        parent = os.getpid()
+
+        def compare(fa, fb, params):
+            if os.getpid() == parent:
+                time.sleep(0.3)  # long enough for the child to fill the pipe
+                raise KeyError("parent side")
+            return 0.5, False
+
+        def hung(signum, frame):
+            raise TimeoutError("distance_matrix did not return")
+
+        models = _stub_measure(monkeypatch, compare)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(KeyError, match="parent side"):
+                distance_matrix(models, Measure.NODE, MatrixParams(workers=2))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 1
+        _no_child_left()
