@@ -15,7 +15,7 @@ from .manifest import RankedModelSet
 from .measures import Measure
 from .petri import LocalProcessModel
 
-if TYPE_CHECKING:  # clustering and matrix are imported where they are used
+if TYPE_CHECKING:  # matrix only types arguments here; clustering is imported where it is used
     from .matrix import DistanceMatrix
 
 DEFAULT_CURVE_NS: tuple[int, ...] = (5, 10, 20, 50, 100, 500)
@@ -79,19 +79,12 @@ class DiversityReport:
     entries: tuple[DiversityEntry, ...]
 
 
-def _full_matrix(
-    ranked: RankedModelSet,
-    measure: Measure,
-    matrix: DistanceMatrix | None,
-) -> DistanceMatrix:
-    if matrix is not None:
-        missing = set(m.id for m in ranked.models) - set(matrix.ids)
-        if missing:
-            raise ValueError(f"matrix does not cover models {sorted(missing)}")
-        return matrix
-    from .matrix import distance_matrix
-
-    return distance_matrix(ranked.models, measure)
+def _full_matrix(ranked: RankedModelSet, matrix: DistanceMatrix) -> DistanceMatrix:
+    """``matrix`` itself, once it is known to hold a row for every ranked model."""
+    missing = set(m.id for m in ranked.models) - set(matrix.ids)
+    if missing:
+        raise ValueError(f"matrix does not cover models {sorted(missing)}")
+    return matrix
 
 
 def reduction_curve(
@@ -99,13 +92,13 @@ def reduction_curve(
     measure: Measure | str,
     thresholds: Sequence[float] | None = None,
     ns: Sequence[int] = DEFAULT_CURVE_NS,
-    matrix: DistanceMatrix | None = None,
+    *,
+    matrix: DistanceMatrix,
 ) -> ReductionCurve:
     """Representative counts from re-clustering each top-n prefix.
 
-    Each prefix is clustered on its own (sliced) distance matrix; a
-    precomputed matrix covering the ranked set short-circuits the pairwise
-    computation, which otherwise runs with the default ``MatrixParams``.
+    ``matrix`` covers the ranked set, typically the pipeline's rounded
+    matrix; each prefix is clustered on its slice of it.
     ``thresholds`` defaults to ``DEFAULT_THRESHOLDS``.
     """
     from .clustering import DEFAULT_THRESHOLDS, sweep
@@ -114,7 +107,7 @@ def reduction_curve(
         raise ValueError("ns must be non-empty")
     thresholds = DEFAULT_THRESHOLDS if thresholds is None else thresholds
     measure = Measure(measure)
-    full = _full_matrix(ranked, measure, matrix)
+    full = _full_matrix(ranked, matrix)
     points = []
     for n in ns:
         prefix = [m.id for m in top_n(ranked, n)]
@@ -150,12 +143,13 @@ def diversity_report(
     repr_ranked: RankedModelSet,
     measure: Measure | str,
     ns: Sequence[int] = DEFAULT_DIVERSITY_NS,
-    matrix: DistanceMatrix | None = None,
+    *,
+    matrix: DistanceMatrix,
 ) -> DiversityReport:
     """Mean pairwise distance of original vs representative top-n sets.
 
-    ``repr_ranked`` must be a subset of ``ranked`` with inherited ranks;
-    n values larger than a set are clamped to its size.
+    ``matrix`` covers ``ranked``; ``repr_ranked`` must be a subset of it with
+    inherited ranks. n values larger than a set are clamped to its size.
     """
     measure = Measure(measure)
     ranked_ids = set(m.id for m in ranked.models)
@@ -164,7 +158,7 @@ def diversity_report(
             raise ValueError(f"representative {m.id!r} is not part of the ranked set")
         if repr_ranked.rank(m.id) != ranked.rank(m.id):
             raise ValueError(f"representative {m.id!r} does not keep its original rank")
-    full = _full_matrix(ranked, measure, matrix)
+    full = _full_matrix(ranked, matrix)
     entries = []
     for n in ns:
         originals = top_n(ranked, n)

@@ -68,17 +68,11 @@ class MatrixParams:
 class Table(tuple):
     """An immutable row-major table: a tuple of row tuples.
 
-    ``t[i, j]`` is one entry and ``t[i]`` one row; iteration yields the rows.
+    ``t[i]`` is one row and ``t[i][j]`` one entry; iteration yields the rows.
     ``numpy.asarray`` turns it into an array.
     """
 
     __slots__ = ()
-
-    def __getitem__(self, key):
-        if type(key) is tuple:
-            i, j = key
-            return tuple.__getitem__(self, i)[j]
-        return tuple.__getitem__(self, key)
 
     def sum(self):
         """All entries added row by row, left to right; a bool table counts its trues."""

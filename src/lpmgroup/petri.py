@@ -86,7 +86,7 @@ class LabeledPetriNet:
         overlap = self.places & self.transitions
         if overlap:
             raise NetStructureError(f"place and transition ids overlap: {sorted(overlap)}")
-        for src, dst in self.arcs:
+        for src, dst in sorted(self.arcs):  # the first bad arc found must not follow the hash seed
             for node in (src, dst):
                 if node not in self.places and node not in self.transitions:
                     raise NetStructureError(f"arc ({src}, {dst}) references unknown node {node!r}")
@@ -195,16 +195,8 @@ class LocalProcessModel:
     final: Marking
 
     def fingerprint(self) -> tuple:
-        """Content key, used for canonical ordering of model pairs."""
+        """Content key, used for canonical ordering of model pairs; models compare by identity."""
         return (self.net._key, self.initial.counts, self.final.counts)  # type: ignore[attr-defined]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LocalProcessModel):
-            return NotImplemented
-        return self.id == other.id and self.fingerprint() == other.fingerprint()
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.fingerprint()))
 
 
 @dataclass(frozen=True)

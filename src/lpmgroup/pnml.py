@@ -104,12 +104,6 @@ def parse_pnml(data: bytes | str) -> tuple[LabeledPetriNet, Marking, Marking]:
                 raise PnmlError(f"arc {element.get('id')!r} missing source/target")
             arcs.append((src, dst))
 
-    known = set(places) | set(transitions)
-    for src, dst in arcs:
-        for node in (src, dst):
-            if node not in known:
-                raise PnmlError(f"arc ({src!r} -> {dst!r}) references unknown node {node!r}")
-
     final_counts: dict[str, int] = {}
     finals = _first(net, "finalmarkings")
     if finals is not None:

@@ -277,7 +277,7 @@ def oracle_complete_linkage(matrix, threshold: float):
     distances = []
     while len(clusters) > 1:
         candidates = [
-            (max(matrix.values[a, b] for a in first for b in second), min(first), min(second))
+            (max(matrix.values[a][b] for a in first for b in second), min(first), min(second))
             for first, second in combinations(sorted(clusters, key=min), 2)
         ]
         distance, lo, hi = min(candidates)
@@ -308,9 +308,9 @@ def oracle_silhouette(matrix, clusters) -> float | None:
         if len(own) == 1:
             scores.append(0.0)
             continue
-        a = _left_sum(values[p, q] for q in own if q != p) / (len(own) - 1)
+        a = _left_sum(values[p][q] for q in own if q != p) / (len(own) - 1)
         b = min(
-            _left_sum(values[p, q] for q in group) / len(group)
+            _left_sum(values[p][q] for q in group) / len(group)
             for g, group in enumerate(index_groups)
             if g != of_point[p]
         )

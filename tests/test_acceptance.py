@@ -193,7 +193,7 @@ def test_c4_pipeline_protocol_reproduction():
     for i, a in enumerate(matrix.ids):
         for j in range(i + 1, len(matrix.ids)):
             b = matrix.ids[j]
-            d = matrix.values[i, j]
+            d = matrix.values[i][j]
             if group_of[a] == group_of[b]:
                 assert d <= 0.2, (a, b, d)
             else:

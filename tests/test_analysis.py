@@ -26,6 +26,11 @@ def small_ranked(n=5) -> RankedModelSet:
     return RankedModelSet(models=models, ranks={f"m{i}": i for i in range(1, n + 1)})
 
 
+def pipeline_matrix(ranked) -> DistanceMatrix:
+    """The transition matrix as the CLI computes it: rounded to the CSV precision."""
+    return distance_matrix(ranked.models, Measure.TRANSITION).rounded()
+
+
 def fixture_matrix(ids, rng) -> DistanceMatrix:
     n = len(ids)
     values = np.zeros((n, n))
@@ -93,13 +98,13 @@ class TestReductionCurve:
     def test_identical_models_reduce_to_one(self):
         models = tuple(chain_lpm(f"m{i}", ["a", "b"]) for i in range(1, 7))
         ranked = RankedModelSet(models=models, ranks={f"m{i}": i for i in range(1, 7)})
-        curve = reduction_curve(ranked, Measure.TRANSITION, ns=[6])
+        curve = reduction_curve(ranked, Measure.TRANSITION, ns=[6], matrix=pipeline_matrix(ranked))
         assert curve.points[0].representative_count == 1
         assert curve.points[0].degenerate
 
     def test_planted_groups_recovered_at_each_n(self):
         ranked = planted_groups(groups=4, copies=5)
-        curve = reduction_curve(ranked, Measure.TRANSITION, ns=[8, 20])
+        curve = reduction_curve(ranked, Measure.TRANSITION, ns=[8, 20], matrix=pipeline_matrix(ranked))
         by_n = {p.n: p for p in curve.points}
         # top-8 covers groups 0 and 1; top-20 covers all four
         assert by_n[8].representative_count == 2
@@ -107,16 +112,24 @@ class TestReductionCurve:
 
     def test_count_never_exceeds_n(self):
         ranked = planted_groups(groups=3, copies=4)
-        curve = reduction_curve(ranked, Measure.TRANSITION, ns=[1, 2, 5, 12, 100])
+        curve = reduction_curve(ranked, Measure.TRANSITION, ns=[1, 2, 5, 12, 100], matrix=pipeline_matrix(ranked))
         for point in curve.points:
             assert point.representative_count <= point.n
             assert point.model_count == min(point.n, len(ranked))
+
+    def test_matrix_must_cover_the_ranked_set(self):
+        ranked = planted_groups(groups=2, copies=2)
+        partial = pipeline_matrix(planted_groups(groups=2, copies=1))
+        with pytest.raises(ValueError, match="does not cover"):
+            reduction_curve(ranked, Measure.TRANSITION, ns=[2], matrix=partial)
+        with pytest.raises(ValueError, match="does not cover"):
+            diversity_report(ranked, ranked, Measure.TRANSITION, ns=[2], matrix=partial)
 
 
 class TestDiversityReport:
     def test_identity_representatives_keep_means(self):
         ranked = planted_groups(groups=2, copies=3)
-        report = diversity_report(ranked, ranked, Measure.TRANSITION, ns=[4])
+        report = diversity_report(ranked, ranked, Measure.TRANSITION, ns=[4], matrix=pipeline_matrix(ranked))
         entry = report.entries[0]
         assert entry.original_mean == entry.representative_mean
 
@@ -124,7 +137,7 @@ class TestDiversityReport:
         ranked = planted_groups(groups=3, copies=4, identical_head=2)
         # representatives: one per group, keeping their original ranks
         reps = ["g0c00", "g1c00", "g2c00"]
-        report = diversity_report(ranked, ranked.subset(reps), Measure.TRANSITION, ns=[3])
+        report = diversity_report(ranked, ranked.subset(reps), Measure.TRANSITION, ns=[3], matrix=pipeline_matrix(ranked))
         entry = report.entries[0]
         # original top-3 is dominated by group-0 duplicates
         assert entry.representative_mean > entry.original_mean
@@ -136,11 +149,11 @@ class TestDiversityReport:
         ranked = small_ranked(4)
         foreign = RankedModelSet(models=(chain_lpm("zz", ["a"]),), ranks={"zz": 1})
         with pytest.raises(ValueError):
-            diversity_report(ranked, foreign, Measure.TRANSITION, ns=[2])
+            diversity_report(ranked, foreign, Measure.TRANSITION, ns=[2], matrix=pipeline_matrix(ranked))
 
     def test_clamps_oversized_n(self):
         ranked = planted_groups(groups=2, copies=2)
-        report = diversity_report(ranked, ranked, Measure.TRANSITION, ns=[50])
+        report = diversity_report(ranked, ranked, Measure.TRANSITION, ns=[50], matrix=pipeline_matrix(ranked))
         assert report.entries[0].original_count == 4
 
 

@@ -73,6 +73,31 @@ class TestValidate:
         assert main(["validate", "--manifest", str(manifest)]) == 1
         assert "token count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("end", ["source", "target"])
+    def test_dangling_arc_exits_one(self, tmp_path, capsys, end):
+        manifest = write_manifest(tmp_path, [chain_lpm("m1", ["a", "b"])])
+        pnml = tmp_path / "m1.pnml"
+        pnml.write_text(pnml.read_text(encoding="utf-8").replace(f'{end}="p0"', f'{end}="ghost"', 1), encoding="utf-8")
+        assert main(["validate", "--manifest", str(manifest)]) == 1
+        assert "references unknown node 'ghost'" in capsys.readouterr().err
+
+    def test_first_dangling_arc_named_is_independent_of_the_hash_seed(self, tmp_path):
+        manifest = write_manifest(tmp_path, [chain_lpm("m1", ["a", "b", "c"])])
+        pnml = tmp_path / "m1.pnml"
+        text = pnml.read_text(encoding="utf-8")
+        pnml.write_text(text.replace('source="p0"', 'source="ghost0"').replace('target="p1"', 'target="ghost1"'), encoding="utf-8")
+        src = str(Path(lpmgroup.__file__).resolve().parents[1])
+        errors = set()
+        for seed in range(6):
+            done = subprocess.run(
+                [sys.executable, "-m", "lpmgroup", "validate", "--manifest", str(manifest)],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+                capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 1
+            errors.add(done.stderr)
+        assert len(errors) == 1 and "references unknown node 'ghost" in errors.pop()
+
     def test_missing_manifest_exits_one(self, tmp_path, capsys):
         assert main(["validate", "--manifest", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -108,29 +133,29 @@ class TestCluster:
             0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0
         ]
 
-    def test_cached_matrix_equals_one_shot(self, tmp_path):
+    @pytest.mark.parametrize("measure", [m.value for m in Measure])
+    def test_cached_matrix_equals_one_shot(self, tmp_path, measure):
+        reads = {"efg": ["--bound", "5"], "full": ["--bound", "5"], "ged": ["--ged-budget", "200"]}.get(measure, [])
         manifest = varied_manifest(tmp_path)
         one_shot = tmp_path / "oneshot"
         assert main([
-            "cluster", "--manifest", str(manifest), "--measure", "efg", "--bound", "5",
-            "--out", str(one_shot),
+            "cluster", "--manifest", str(manifest), "--measure", measure, *reads, "--out", str(one_shot),
         ]) == 0
 
         staged_matrix = tmp_path / "staged_matrix"
         assert main([
-            "matrix", "--manifest", str(manifest), "--measure", "efg", "--bound", "5",
-            "--out", str(staged_matrix),
+            "matrix", "--manifest", str(manifest), "--measure", measure, *reads, "--out", str(staged_matrix),
         ]) == 0
         staged = tmp_path / "staged"
         assert main([
-            "cluster", "--manifest", str(manifest), "--measure", "efg",
-            "--matrix", str(staged_matrix / "matrix_efg.csv"), "--out", str(staged),
+            "cluster", "--manifest", str(manifest), "--measure", measure,
+            "--matrix", str(staged_matrix / f"matrix_{measure}.csv"), "--out", str(staged),
         ]) == 0
 
         assert (one_shot / "clusters.csv").read_bytes() == (staged / "clusters.csv").read_bytes()
         assert (one_shot / "sweep.json").read_bytes() == (staged / "sweep.json").read_bytes()
-        assert (one_shot / "matrix_efg.csv").read_bytes() == (
-            staged_matrix / "matrix_efg.csv"
+        assert (one_shot / f"matrix_{measure}.csv").read_bytes() == (
+            staged_matrix / f"matrix_{measure}.csv"
         ).read_bytes()
 
     def test_bound_ignored_notice_for_transition(self, tmp_path, capsys):

@@ -98,7 +98,7 @@ class TestDistanceMatrixComputation:
         for i, a in enumerate(models):
             for j, b in enumerate(models):
                 if i != j:
-                    assert matrix.values[i, j] == distance(measure, a, b, **params)
+                    assert matrix.values[i][j] == distance(measure, a, b, **params)
 
     def test_rejects_duplicate_model_ids(self):
         models = [chain_lpm("a", ["x"]), chain_lpm("a", ["y"])]
@@ -142,13 +142,13 @@ class TestDistanceMatrixComputation:
     def test_truncated_language_sets_approx_flag(self):
         models = [chain_lpm("a", ["x", "y", "z"]), chain_lpm("b", ["x", "y"])]
         matrix = distance_matrix(models, Measure.EFG, MatrixParams(bound=3, enum_cap=2))
-        assert matrix.approx[0, 1]
+        assert matrix.approx[0][1]
 
     def test_ged_budget_exhaustion_sets_approx_flag(self):
         rng = random.Random(61)
         models = [random_lpm(rng, f"m{k}", max_transitions=8, max_places=6) for k in range(2)]
         matrix = distance_matrix(models, Measure.GED, MatrixParams(ged_budget=3))
-        assert matrix.approx[0, 1]
+        assert matrix.approx[0][1]
 
 
 def _stub_measure(monkeypatch, compare):

@@ -293,7 +293,7 @@ class TestEfg:
         relations = [ef_relation(lang) for lang in languages]
         for i in range(len(models)):
             for j in range(i + 1, len(models)):
-                assert dm.values[i, j] == 1.0 - dice(relations[i], relations[j])
+                assert dm.values[i][j] == 1.0 - dice(relations[i], relations[j])
 
 
 class TestFull:

@@ -61,9 +61,10 @@ class TestParse:
         with pytest.raises(PnmlError, match="malformed"):
             parse_pnml("<pnml><net>")
 
-    def test_dangling_arc(self):
-        doc = TWO_TRANSITION_NET.replace('target="p1"', 'target="ghost"')
-        with pytest.raises(PnmlError, match="ghost"):
+    @pytest.mark.parametrize("end", ["source", "target"])
+    def test_dangling_arc(self, end):
+        doc = TWO_TRANSITION_NET.replace(f'{end}="p1"', f'{end}="ghost"')
+        with pytest.raises(PnmlError, match="references unknown node 'ghost'"):
             parse_pnml(doc)
 
     def test_duplicate_id(self):
