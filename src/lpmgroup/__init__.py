@@ -25,9 +25,9 @@ _EXPORTS = {
     "matrix": "DistanceMatrix MatrixParams distance distance_matrix similarity",
     "measures": "DEFAULT_GED_BUDGET DEFAULT_LANG_CAP Assignment Measure dice levenshtein "
     "normalized_levenshtein optimal_assignment place_gain sim_node",
-    "petri": "DEFAULT_BOUND DEFAULT_ENUM_CAP SILENT BoundedLanguage EnumerationResult LabeledPetriNet "
-    "LocalProcessModel Marking NetStructureError ValidationReport bounded_language ef_relation "
-    "eventually_follows is_silent unrestricted_transitions valid_complete_firing_sequences validate_lpm",
+    "petri": "DEFAULT_BOUND DEFAULT_ENUM_CAP SILENT BoundedLanguage LabeledPetriNet LocalProcessModel "
+    "Marking NetStructureError ValidationReport bounded_language ef_relation eventually_follows "
+    "unrestricted_transitions validate_lpm",
     "pnml": "PnmlError parse_pnml parse_pnml_file write_pnml",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

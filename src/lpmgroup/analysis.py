@@ -111,28 +111,21 @@ def reduction_curve(
     points = []
     for n in ns:
         prefix = [m.id for m in top_n(ranked, n)]
-        if len(prefix) < 2:
-            points.append(
-                CurvePoint(
-                    n=n,
-                    model_count=len(prefix),
-                    representative_count=len(prefix),
-                    threshold=None,
-                    silhouette=None,
-                    degenerate=True,
-                )
-            )
-            continue
-        result = sweep(full.submatrix(prefix), thresholds)
-        selected = result.selected
+        if len(prefix) < 2:  # nothing to cluster: each model represents itself
+            count, threshold, score, degenerate = len(prefix), None, None, True
+        else:
+            result = sweep(full.submatrix(prefix), thresholds)
+            selected = result.selected
+            count, threshold, score = len(selected.clusters), selected.threshold, selected.silhouette
+            degenerate = result.all_degenerate
         points.append(
             CurvePoint(
                 n=n,
                 model_count=len(prefix),
-                representative_count=len(selected.clusters),
-                threshold=selected.threshold,
-                silhouette=selected.silhouette,
-                degenerate=result.all_degenerate,
+                representative_count=count,
+                threshold=threshold,
+                silhouette=score,
+                degenerate=degenerate,
             )
         )
     return ReductionCurve(measure=measure.value, points=tuple(points))

@@ -8,11 +8,10 @@ marking while no place receives more than one token from transitions with
 an empty preset ("unrestricted" transitions).
 
 Bounded behavior comes two ways from one compiled firing rule:
-``valid_complete_firing_sequences`` (and ``bounded_language`` on top of it)
-lists the sequences breadth-first up to a prefix cap, and
-``eventually_follows`` derives the eventually-follows relation from the
-state graph layered by depth, exact up to the bound without listing any
-sequence.
+``bounded_language`` lists the label traces of those sequences
+breadth-first up to a prefix cap, and ``eventually_follows`` derives the
+eventually-follows relation from the state graph layered by depth, exact
+up to the bound without listing any trace.
 """
 
 from __future__ import annotations
@@ -31,12 +30,7 @@ DEFAULT_BOUND = 10
 DEFAULT_ENUM_CAP = 100_000
 
 Trace = tuple[str, ...]
-FiringSequence = tuple[str, ...]
 EFRelation = frozenset[tuple[str, str]]
-
-
-def is_silent(label: str) -> bool:
-    return label == SILENT
 
 
 class NetStructureError(ValueError):
@@ -170,9 +164,6 @@ class Marking:
     def places(self) -> frozenset[str]:
         return frozenset(p for p, _ in self.counts)
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.counts)
-
     def __bool__(self) -> bool:
         return bool(self.counts)
 
@@ -280,7 +271,7 @@ class _FiringRule:
         return sum(1 << i for i, p in enumerate(self.places) if p in places)
 
     def encode(self, marking: Marking) -> tuple[int, ...]:
-        counts = marking.as_dict()
+        counts = dict(marking.counts)
         return tuple(counts.get(p, 0) for p in self.places)
 
     def enabled(self, counts: tuple[int, ...], used: int) -> list[int]:
@@ -300,15 +291,6 @@ class _FiringRule:
 
 
 @dataclass(frozen=True)
-class EnumerationResult:
-    """Valid complete firing sequences of length <= bound, set-deduplicated."""
-
-    sequences: frozenset[FiringSequence]
-    bound: int
-    truncated: bool
-
-
-@dataclass(frozen=True)
 class BoundedLanguage:
     """Silent-free label traces of the valid complete firing sequences."""
 
@@ -317,32 +299,34 @@ class BoundedLanguage:
     truncated: bool
 
 
-def valid_complete_firing_sequences(
+def bounded_language(
     lpm: LocalProcessModel,
     bound: int = DEFAULT_BOUND,
     cap: int = DEFAULT_ENUM_CAP,
-) -> EnumerationResult:
-    """Enumerate all valid complete firing sequences with at most ``bound`` steps.
+) -> BoundedLanguage:
+    """Label traces of the valid complete firing sequences with at most ``bound`` steps.
 
-    Breadth-first over run prefixes; each prefix carries its marking and the
-    places already fed by unrestricted transitions. The empty sequence is
-    never reported. When more than ``cap`` prefixes would be explored the
-    result is cut short and flagged truncated.
+    Breadth-first over run prefixes; each prefix carries its marking, the
+    places already fed by unrestricted transitions, its step count and its
+    label trace, which a silent step leaves as it was. The empty run is
+    never reported, but a complete run of silent steps alone yields the
+    empty trace. When more than ``cap`` prefixes would be explored the
+    search is cut short and flagged truncated.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rule = _FiringRule(lpm.net, lpm.initial.places() | lpm.final.places())
     enabled_in, fire_in = rule.enabled, rule.fire
+    labels = lpm.net.labels
+    step = [() if labels[t] == SILENT else (labels[t],) for t in rule.transitions]
     final = rule.encode(lpm.final)
-    complete: set[tuple[int, ...]] = set()
+    traces: set[Trace] = set()
     truncated = False
     explored = 0
-    frontier: deque[tuple[tuple[int, ...], int, tuple[int, ...]]] = deque(
-        [(rule.encode(lpm.initial), 0, ())]
-    )
+    frontier = deque([(rule.encode(lpm.initial), 0, 0, ())])  # (marking, used mask, steps, trace)
     while frontier and not truncated:
-        counts, used, seq = frontier.popleft()
-        if len(seq) >= bound:
+        counts, used, steps, trace = frontier.popleft()
+        if steps >= bound:
             continue
         for k in enabled_in(counts, used):
             if explored >= cap:
@@ -350,27 +334,11 @@ def valid_complete_firing_sequences(
                 break
             explored += 1
             new_counts, new_used = fire_in(counts, used, k)
-            new_seq = seq + (k,)
+            new_trace = trace + step[k]
             if new_counts == final:
-                complete.add(new_seq)
-            frontier.append((new_counts, new_used, new_seq))
-    name = rule.transitions.__getitem__
-    sequences = frozenset(tuple(map(name, seq)) for seq in complete)
-    return EnumerationResult(sequences, bound, truncated)
-
-
-def bounded_language(
-    lpm: LocalProcessModel,
-    bound: int = DEFAULT_BOUND,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> BoundedLanguage:
-    """Project the valid complete firing sequences onto non-silent labels."""
-    result = valid_complete_firing_sequences(lpm, bound, cap)
-    labels = lpm.net.labels
-    traces = frozenset(
-        tuple(labels[t] for t in seq if not is_silent(labels[t])) for seq in result.sequences
-    )
-    return BoundedLanguage(bound=bound, traces=traces, truncated=result.truncated)
+                traces.add(new_trace)
+            frontier.append((new_counts, new_used, steps + 1, new_trace))
+    return BoundedLanguage(bound=bound, traces=frozenset(traces), truncated=truncated)
 
 
 def ef_relation(language: BoundedLanguage) -> EFRelation:
@@ -397,9 +365,9 @@ def eventually_follows(
     1..``bound``. Every
     non-silent step into a live state pairs each label seen before it with
     its own label, so the relation is that of ``bounded_language`` with no
-    cap. The flag equals ``valid_complete_firing_sequences``'s: more than
-    ``cap`` firing sequences of length 1..``bound`` exist. Path counts
-    saturate at ``cap + 1``.
+    cap. The flag equals ``bounded_language``'s: more than ``cap`` firing
+    sequences of length 1..``bound`` exist. Path counts saturate at
+    ``cap + 1``.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")

@@ -2,8 +2,9 @@
 
 These recompute the combinatorial kernels from their definitions: plain
 generate-and-test firing-sequence enumeration, a marking-object
-breadth-first enumeration that models the prefix cap, permutation search
-for the assignment problem, the textbook recursive edit distance, an
+breadth-first enumeration that models the prefix cap (``label_traces``
+projects either onto the traces of ``bounded_language``), permutation
+search for the assignment problem, the textbook recursive edit distance, an
 exhaustive node-mapping minimum for the graph edit distance, complete
 linkage that recomputes every cluster-pair distance at every merge, and a
 point-by-point silhouette.
@@ -29,7 +30,7 @@ from operator import add
 
 import numpy as np
 
-from lpmgroup import Marking, MergeStep
+from lpmgroup import SILENT, Marking, MergeStep
 from lpmgroup.petri import _FiringRule
 
 
@@ -130,6 +131,12 @@ def oracle_bfs_sequences(lpm, bound: int, cap: int) -> tuple[frozenset[tuple[str
                 complete.add(new_seq)
             frontier.append((new_marking, new_used, new_seq))
     return frozenset(complete), truncated
+
+
+def label_traces(lpm, sequences) -> frozenset[tuple[str, ...]]:
+    """The transition sequences' label traces, silent labels dropped."""
+    labels = lpm.net.labels
+    return frozenset(tuple(labels[t] for t in seq if labels[t] != SILENT) for seq in sequences)
 
 
 def enabled(net, marking, used_free_places=frozenset()) -> frozenset[str]:

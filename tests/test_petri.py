@@ -1,4 +1,4 @@
-"""Net semantics: validation, firing, enumeration, language, EF relation."""
+"""Net semantics: validation, firing, bounded language, EF relation."""
 
 import random
 
@@ -14,7 +14,6 @@ from lpmgroup import (
     ef_relation,
     eventually_follows,
     unrestricted_transitions,
-    valid_complete_firing_sequences,
     validate_lpm,
 )
 from genmodels import (
@@ -24,7 +23,7 @@ from genmodels import (
     with_isolated_transition,
     without_place_outputs,
 )
-from oracles import enabled, fire, oracle_bfs_sequences, oracle_sequences
+from oracles import enabled, fire, label_traces, oracle_bfs_sequences, oracle_sequences
 
 EMPTY = Marking()
 
@@ -148,70 +147,101 @@ class TestFiringRule:
             fire(net, EMPTY, "t1")
 
 
+def _with_silent(lpm: LocalProcessModel) -> bool:
+    return SILENT in lpm.net.labels.values()
+
+
 class TestEnumeration:
+    """``bounded_language`` against the label projection of the oracles'
+    transition sequences."""
+
+    CAPS = (1, 2, 7, 50, 1000, 100_000)
+
     def test_chain_completes_at_two_steps(self):
-        result = valid_complete_firing_sequences(simple_chain(), 2)
-        assert result.sequences == {("t0", "t1")}
-        assert not result.truncated
+        lang = bounded_language(simple_chain(), 2)
+        assert lang.traces == {("A", "B")}
+        assert not lang.truncated
 
     def test_chain_has_nothing_below_two_steps(self):
-        assert valid_complete_firing_sequences(simple_chain(), 1).sequences == frozenset()
+        assert bounded_language(simple_chain(), 1).traces == frozenset()
 
     def test_two_parallel_chains_match_oracle(self):
         # Six four-step interleavings plus the two single-chain completions,
         # which also reach the empty final marking.
         lpm = two_parallel_chains()
         expected = oracle_sequences(lpm, 4)
-        result = valid_complete_firing_sequences(lpm, 4)
         assert len(expected) == 8
-        assert result.sequences == frozenset(expected)
+        assert bounded_language(lpm, 4).traces == label_traces(lpm, expected)
 
     def test_sequences_replay_via_enabled_and_fire(self):
+        # the oracle's sequences are firing sequences of the library's rule,
+        # and their projection is the language
         rng = random.Random(11)
         for k in range(25):
             lpm = random_lpm(rng, f"m{k}", max_transitions=5, max_places=4)
-            result = valid_complete_firing_sequences(lpm, 5)
-            for seq in result.sequences:
+            sequences, truncated = oracle_bfs_sequences(lpm, 5, 100_000)
+            assert not truncated
+            for seq in sequences:
                 marking, used = lpm.initial, frozenset()
                 for t in seq:
                     assert t in enabled(lpm.net, marking, used)
                     marking, used = fire(lpm.net, marking, t, used)
                 assert marking == lpm.final
+            assert bounded_language(lpm, 5).traces == label_traces(lpm, sequences), lpm.id
 
     def test_empty_sequence_is_excluded(self):
         lpm = simple_chain()  # initial == final == empty marking
-        result = valid_complete_firing_sequences(lpm, 3)
-        assert () not in result.sequences
+        assert () not in bounded_language(lpm, 3).traces
+        # a complete run of silent steps alone is reported, as the empty trace
+        net = LabeledPetriNet(
+            places={"p"}, transitions={"s", "t"}, arcs=[("s", "p"), ("p", "t")],
+            labels={"s": SILENT, "t": SILENT},
+        )
+        silent = LocalProcessModel(id="silent", net=net, initial=EMPTY, final=EMPTY)
+        assert bounded_language(silent, 1).traces == frozenset()
+        assert bounded_language(silent, 2).traces == {()}
 
     def test_truncation_flag_on_tiny_cap(self):
         lpm = two_parallel_chains()
-        result = valid_complete_firing_sequences(lpm, 4, cap=3)
-        assert result.truncated
+        assert bounded_language(lpm, 4, cap=3).truncated
 
     def test_cap_boundary_matches_bfs_oracle(self):
         rng = random.Random(7007)
-        models = [self_loop_star(4)]
+        models = [self_loop_star(loops) for loops in (2, 3, 4)]
         models += [
-            random_lpm(rng, f"m{k}", max_transitions=6, max_places=4, token_prob=0.3)
-            for k in range(20)
+            random_lpm(rng, f"m{k}", max_transitions=6, max_places=4, silent_prob=0.3)
+            for k in range(300)
         ]
         # a final marking naming a place the net lacks is never reached
-        stray = models[1]
+        stray = models[3]
         models.append(LocalProcessModel("stray", stray.net, stray.initial, Marking(["zz"])))
+        assert sum(map(_with_silent, models)) >= 150
+        truncated_at = dict.fromkeys(self.CAPS, 0)
+        silent_traces = 0
         for lpm in models:
-            for cap in (1, 2, 7, 100, 1000):
-                for bound in range(1, 11):
-                    got = valid_complete_firing_sequences(lpm, bound, cap)
-                    sequences, truncated = oracle_bfs_sequences(lpm, bound, cap)
-                    assert (got.sequences, got.truncated) == (sequences, truncated), (lpm.id, cap, bound)
+            for bound in range(1, 11):
+                expected = None
+                for cap in self.CAPS:
+                    # an oracle run that was not cut short is the same at every larger cap
+                    if expected is None or expected[1]:
+                        sequences, truncated = oracle_bfs_sequences(lpm, bound, cap)
+                        expected = (label_traces(lpm, sequences), truncated)
+                    got = bounded_language(lpm, bound, cap)
+                    assert (got.traces, got.truncated) == expected, (lpm.id, bound, cap)
+                    truncated_at[cap] += got.truncated
+                    silent_traces += () in got.traces
+        assert min(truncated_at.values()) >= 3 and silent_traces > 0, (truncated_at, silent_traces)
 
     def test_matches_generate_and_test_oracle(self):
         rng = random.Random(99)
-        for k in range(30):
-            lpm = random_lpm(rng, f"m{k}", max_transitions=5, max_places=4)
-            got = valid_complete_firing_sequences(lpm, 5)
+        models = [
+            random_lpm(rng, f"m{k}", max_transitions=5, max_places=4, silent_prob=0.3) for k in range(30)
+        ]
+        assert sum(map(_with_silent, models)) >= 10
+        for lpm in models:
+            got = bounded_language(lpm, 5)
             assert not got.truncated
-            assert got.sequences == frozenset(oracle_sequences(lpm, 5))
+            assert got.traces == label_traces(lpm, oracle_sequences(lpm, 5)), lpm.id
 
 
 class TestBoundedLanguage:
@@ -323,7 +353,7 @@ class TestEventuallyFollows:
         lpm = two_parallel_chains()
         for cap, expected in ((17, True), (18, False), (19, False)):
             assert eventually_follows(lpm, 4, cap)[1] is expected
-            assert valid_complete_firing_sequences(lpm, 4, cap).truncated is expected
+            assert bounded_language(lpm, 4, cap).truncated is expected
 
     def test_matches_generate_and_test_oracle(self):
         for lpm in _ef_population():
