@@ -9,10 +9,12 @@ the n best-ranked originals against the n best-ranked representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 from typing import TYPE_CHECKING, Sequence
 
 from .manifest import RankedModelSet
-from .measures import Measure
+from .measures import Measure, left_sum
 from .petri import LocalProcessModel
 
 if TYPE_CHECKING:  # matrix only types arguments here; clustering is imported where it is used
@@ -38,14 +40,7 @@ def mean_pairwise_distance(
     if len(ids) < 2:
         return None
     rows = sorted(matrix.index(i) for i in ids)
-    total = 0.0
-    count = 0
-    for a in range(len(rows)):
-        row = matrix.values[rows[a]]
-        for b in range(a + 1, len(rows)):
-            total += row[rows[b]]
-            count += 1
-    return total / count
+    return left_sum(matrix.values[a][b] for a, b in combinations(rows, 2)) / comb(len(rows), 2)
 
 
 @dataclass(frozen=True)

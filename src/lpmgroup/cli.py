@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -279,8 +280,14 @@ def _cmd_render(args) -> int:
         models = tuple(m for m in models if m.id == args.model)
         if not models:
             raise CliError(f"unknown model id {args.model!r}")
+    for model in models:  # an id names a file in render alone: it must stay one name inside --out
+        if model.id in (".", "..") or not {"/", os.sep, os.altsep, "\0"}.isdisjoint(model.id):
+            raise CliError(f"model id {model.id!r} cannot name a DOT file")
     for model in models:
-        export_dot(model, out / f"{model.id}.dot")
+        try:
+            export_dot(model, out / f"{model.id}.dot")
+        except OSError as exc:
+            raise CliError(f"cannot write the DOT file of model {model.id!r}: {exc}") from None
     print(f"wrote {len(models)} DOT files to {out}")
     return 0
 

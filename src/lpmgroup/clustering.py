@@ -125,8 +125,8 @@ def agglomerate(
 
 
 def silhouette(matrix: DistanceMatrix, clusters: ClusterSet) -> float | None:
-    """Mean silhouette width; None when it is undefined (one cluster, or
-    as many clusters as points)."""
+    """Mean silhouette width of a partition of the matrix ids; None when undefined (one cluster, or one per id)."""
+    check_partition(clusters, matrix.ids)
     return _silhouettes(matrix, (clusters,))[0]
 
 
@@ -139,7 +139,7 @@ def _member_sums(rows: Sequence[Sequence[float]], group: list[int]) -> Sequence[
 
 
 def _silhouettes(matrix: DistanceMatrix, partitions: Sequence[ClusterSet]) -> list[float | None]:
-    """``silhouette`` of each partition.
+    """``silhouette`` of each partition, which the caller has checked or built.
 
     Per cluster, the distances from every point to its members are added
     left to right in member order. The matrix is symmetric, so they are the
@@ -152,7 +152,6 @@ def _silhouettes(matrix: DistanceMatrix, partitions: Sequence[ClusterSet]) -> li
     sums: dict[frozenset[str], Sequence[float]] = {}
     widths: list[float | None] = []
     for clusters in partitions:
-        check_partition(clusters, matrix.ids)
         k = len(clusters)
         if k <= 1 or k >= n:
             widths.append(None)

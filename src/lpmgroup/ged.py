@@ -221,9 +221,9 @@ def ged_raw(a: LocalProcessModel, b: LocalProcessModel, budget: int = DEFAULT_GE
 
 
 def ged_similarity(a: LocalProcessModel, b: LocalProcessModel, budget: int = DEFAULT_GED_BUDGET) -> tuple[float, bool]:
-    """Similarity 1 - cost/(size(a)+size(b)), clamped to [0, 1], plus exactness."""
+    """Similarity 1 - cost/(size(a)+size(b)) and exactness; no clamp: the cost starts at size(a)+size(b), only falls."""
     size_sum = a.net.size + b.net.size
     if size_sum == 0:
         return 1.0, True
     result = ged_raw(a, b, budget)
-    return min(1.0, max(0.0, 1.0 - result.cost / size_sum)), result.exact
+    return 1.0 - result.cost / size_sum, result.exact

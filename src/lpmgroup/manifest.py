@@ -119,6 +119,8 @@ def read_manifest(path: Path | str) -> Manifest:
     if not isinstance(raw, dict) or not isinstance(raw.get("models"), list):
         raise ManifestError("manifest must be an object with a 'models' list")
     entries = []
+    ids: set[str] = set()
+    by_rank: dict[int, str] = {}  # rank -> id
     for k, item in enumerate(raw["models"]):
         if not isinstance(item, dict):
             raise ManifestError(f"models[{k}] is not an object")
@@ -130,20 +132,17 @@ def read_manifest(path: Path | str) -> Manifest:
             raise ManifestError(f"models[{k}] is missing {exc}") from exc
         if not isinstance(model_id, str) or not model_id:
             raise ManifestError(f"models[{k}] id must be a non-empty string")
+        if any("\ud800" <= c <= "\udfff" for c in model_id):  # JSON admits them; no file encoding does
+            raise ManifestError(f"models[{k}] id {model_id!r} holds a lone surrogate")
         if type(rank) is not int or rank < 1:  # not isinstance: JSON true is a bool, an int subclass
             raise ManifestError(f"models[{k}] rank must be a positive integer")
+        if model_id in ids:
+            raise ManifestError(f"duplicate model id {model_id!r}")
+        if rank in by_rank:
+            raise ManifestError(f"duplicate rank {rank}: entries {by_rank[rank]!r} and {model_id!r}")
+        ids.add(model_id)
+        by_rank[rank] = model_id
         entries.append(ManifestEntry(id=model_id, path=(path.parent / rel).resolve(), rank=rank))
-    by_id: dict[str, str] = {}
-    by_rank: dict[int, str] = {}
-    for entry in entries:
-        if entry.id in by_id:
-            raise ManifestError(f"duplicate model id {entry.id!r}")
-        by_id[entry.id] = entry.id
-        if entry.rank in by_rank:
-            raise ManifestError(
-                f"duplicate rank {entry.rank}: entries {by_rank[entry.rank]!r} and {entry.id!r}"
-            )
-        by_rank[entry.rank] = entry.id
     missing = [str(e.path) for e in entries if not e.path.exists()]
     if missing:
         raise ManifestError(f"model files not found: {missing}")

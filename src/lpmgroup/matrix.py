@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass, field
 from functools import reduce
 from importlib import import_module
-from itertools import chain
+from itertools import chain, combinations, compress, islice
 from operator import add
 from typing import Callable, Sequence
 
@@ -121,6 +121,8 @@ class DistanceMatrix:
             raise ValueError("distances must lie in [0, 1]")
         if values != tuple(zip(*values)):
             raise ValueError("distance matrix must be symmetric")
+        if any(i == j or not approx[j][i] for i, row in enumerate(approx) for j in compress(range(n), row)):
+            raise ValueError("approximation flags must be symmetric and off the diagonal")
         if any(row[k] != 0.0 for k, row in enumerate(values)):
             raise ValueError("self-distances must be zero")
 
@@ -249,16 +251,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _stride(compare, features, params: MatrixParams, pairs) -> list[tuple[float, bool]]:
-    out = []
-    for i, j in pairs:
+def _stride(compare, features, params: MatrixParams, k: int, procs: int) -> tuple[list[float], list[bool]]:
+    """Distances and flags of every ``procs``-th pair of the row-major upper triangle, from the ``k``-th on."""
+    values, flags = [], []
+    for i, j in islice(combinations(range(len(features)), 2), k, None, procs):
         (fa, approx_a), (fb, approx_b) = features[i], features[j]
         sim, approx = compare(fa, fb, params)
-        out.append((1.0 - sim, approx_a or approx_b or approx))
-    return out
+        values.append(1.0 - sim)
+        flags.append(approx_a or approx_b or approx)
+    return values, flags
 
 
-def _child(compare, features, params: MatrixParams, pairs, write_end: int, inherited: list[int]) -> None:
+def _child(compare, features, params: MatrixParams, k: int, procs: int, write_end: int, inherited: list[int]) -> None:
     """Body of a forked child: compute one stride, send it, never return.
 
     ``inherited`` are the read ends the child got by the fork, its own and
@@ -269,7 +273,7 @@ def _child(compare, features, params: MatrixParams, pairs, write_end: int, inher
         for fd in inherited:
             os.close(fd)
         try:
-            message = marshal.dumps((True, _stride(compare, features, params, pairs)))
+            message = marshal.dumps((True, _stride(compare, features, params, k, procs)))
         except BaseException as exc:
             import pickle
 
@@ -287,7 +291,7 @@ def _child(compare, features, params: MatrixParams, pairs, write_end: int, inher
         os._exit(code)
 
 
-def _received(pid: int, read_end: int) -> list[tuple[float, bool]]:
+def _received(pid: int, read_end: int) -> tuple[list[float], list[bool]]:
     """Read one child's stride to the end of its pipe, reap the child and unpack."""
     try:
         with open(read_end, "rb") as pipe:
@@ -306,8 +310,8 @@ def _received(pid: int, read_end: int) -> list[tuple[float, bool]]:
     return payload
 
 
-def _stride_results(compare, features, params: MatrixParams, strides) -> list[list[tuple[float, bool]]]:
-    """Every stride's results; strides after the first run in forked children.
+def _stride_results(compare, features, params: MatrixParams, procs: int) -> list[tuple[list[float], list[bool]]]:
+    """``_stride`` of strides 0 to ``procs`` - 1, in order; strides after the first run in forked children.
 
     On any failure the parent first closes the read ends it still holds, so
     that a child blocked on a full pipe gets EPIPE, then reaps every child
@@ -315,7 +319,7 @@ def _stride_results(compare, features, params: MatrixParams, strides) -> list[li
     """
     children: list[tuple[int, int]] = []  # (pid, read end), not yet reaped
     try:
-        for pairs in strides[1:]:
+        for k in range(1, procs):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -324,10 +328,10 @@ def _stride_results(compare, features, params: MatrixParams, strides) -> list[li
                 os.close(write_end)
                 raise
             if pid == 0:
-                _child(compare, features, params, pairs, write_end, [read_end, *(fd for _, fd in children)])
+                _child(compare, features, params, k, procs, write_end, [read_end, *(fd for _, fd in children)])
             os.close(write_end)
             children.append((pid, read_end))
-        results = [_stride(compare, features, params, strides[0])]
+        results = [_stride(compare, features, params, 0, procs)]
         while children:
             results.append(_received(*children.pop(0)))
         return results
@@ -355,14 +359,12 @@ def distance_matrix(
     if spec.loads:
         import_module(spec.loads, __package__)  # once here, not once per forked child
     features = [spec.featurize(m, params) for m in models]
-    pairs = [(i, j) for i in range(len(models)) for j in range(i + 1, len(models))]
-    procs = min(params.workers, _usable_cpus(), len(pairs)) if hasattr(os, "fork") else 1
-    strides = [pairs[k::procs] for k in range(procs)]
-    results = _stride_results(spec.compare, features, params, strides)
     n = len(models)
+    procs = min(params.workers, _usable_cpus(), n * (n - 1) // 2) if hasattr(os, "fork") else 1
     values = [[0.0] * n for _ in range(n)]
     approx = [[False] * n for _ in range(n)]
-    for (i, j), (value, flag) in zip(chain.from_iterable(strides), chain.from_iterable(results)):
-        values[i][j] = values[j][i] = value
-        approx[i][j] = approx[j][i] = flag
+    for k, (distances, flags) in enumerate(_stride_results(spec.compare, features, params, procs)):
+        for (i, j), value, flag in zip(islice(combinations(range(n), 2), k, None, procs), distances, flags):
+            values[i][j] = values[j][i] = value
+            approx[i][j] = approx[j][i] = flag
     return DistanceMatrix(ids=ids, values=values, measure=measure.value, approx=approx)

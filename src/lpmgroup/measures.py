@@ -105,10 +105,7 @@ def optimal_assignment(gains: Sequence[Sequence[float]]) -> Assignment:
     if not all(0.0 <= g <= 1.0 for row in matrix for g in row):  # NaN fails too
         raise ValueError("gain matrix entries must lie in [0, 1]")
     pairs = tuple(zip(*_lsap([[-g for g in row] for row in matrix])))
-    total = 0.0
-    for r, c in pairs:
-        total += matrix[r][c]
-    return Assignment(pairs, total)
+    return Assignment(pairs, left_sum(matrix[r][c] for r, c in pairs))
 
 
 def _lsap(cost: list[list[float]]) -> tuple[list[int], list[int]]:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -18,10 +19,12 @@ from lpmgroup.cli import main
 from genmodels import chain_lpm, planted_groups, self_loop_star, with_isolated_transition
 
 
-def write_manifest(tmp_path, models, extra=None):
+def write_manifest(tmp_path, models, extra=None, by_position=False):
+    """A manifest of the models, each in a file named by its id, or by its
+    position when ``by_position`` is set (for ids that are no file names)."""
     entries = []
     for k, lpm in enumerate(models):
-        path = tmp_path / f"{lpm.id}.pnml"
+        path = tmp_path / (f"model{k}.pnml" if by_position else f"{lpm.id}.pnml")
         path.write_bytes(write_pnml(lpm.net, lpm.initial, lpm.final))
         entries.append({"id": lpm.id, "path": path.name, "rank": k + 1})
     manifest = {"models": entries}
@@ -38,6 +41,11 @@ def identical_manifest(tmp_path, count=3):
 def varied_manifest(tmp_path):
     ranked = planted_groups(groups=3, copies=4)
     return write_manifest(tmp_path, list(ranked.models))
+
+
+def _files_outside(root: Path, out: Path) -> list[Path]:
+    """Every file under root but not under out."""
+    return sorted(p for p in root.rglob("*") if p.is_file() and out not in p.parents)
 
 
 class TestValidate:
@@ -260,6 +268,15 @@ class TestRender:
     def test_unknown_model_exits_one(self, tmp_path):
         manifest = identical_manifest(tmp_path)
         assert main(["render", "--manifest", str(manifest), "--model", "zz", "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("model_id", ["../escape", "x/y", "x" * 300, "a\0b"], ids=["parent", "slash", "long", "nul"])
+    def test_an_id_that_is_no_file_name_exits_one(self, tmp_path, capsys, model_id):
+        manifest = write_manifest(tmp_path, [chain_lpm("m1", ["a"]), chain_lpm(model_id, ["b"])], by_position=True)
+        out = tmp_path / "work" / "out"
+        before = _files_outside(tmp_path, out)
+        assert main(["render", "--manifest", str(manifest), "--out", str(out)]) == 1
+        assert repr(model_id) in capsys.readouterr().err
+        assert _files_outside(tmp_path, out) == before
 
 
 class TestErrors:
@@ -499,6 +516,39 @@ def _cli_argv(draw, root):
 def test_cli_returns_an_exit_code_and_never_raises(fuzz_root, data):
     argv = data.draw(_cli_argv(fuzz_root))
     assert main(argv) in (0, 1, 2)
+
+
+# pieces of hostile model ids: path separators, dot names, CSV specials, line
+# breaks, NUL, a lone surrogate (JSON admits it), and runs that make an id
+# longer than a 255-byte file name
+_ID_PARTS = ["m", "/", "\\", "..", ".", ",", '"', "\n", "\r", "\0", " ", "\ud800", "x" * 130]
+
+
+@settings(max_examples=40, database=None, derandomize=True, deadline=None)
+@given(ids=st.lists(st.lists(st.sampled_from(_ID_PARTS), min_size=1, max_size=3).map("".join),
+                    min_size=2, max_size=4, unique=True))
+def test_cli_survives_hostile_model_ids(ids):
+    # every command on a manifest of random ids: an exit code, never an
+    # exception, and no file written outside the command's own --out
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        manifest = write_manifest(root, [chain_lpm(i, ["a", "b", "c"][: k % 3 + 1]) for k, i in enumerate(ids)],
+                                  by_position=True)
+        cached = root / "matrix" / "matrix_transition.csv"
+        runs = {
+            "validate": ["validate"],
+            "render": ["render"],
+            "matrix": ["matrix", "--measure", "transition"],
+            "cluster": ["cluster", "--measure", "transition"],
+            "cached": ["cluster", "--measure", "transition", "--matrix", str(cached)],
+            "diversity": ["diversity", "--measure", "transition"],
+        }
+        for name, (command, *flags) in runs.items():
+            out = root / name
+            argv = [command, "--manifest", str(manifest), *flags] + (["--out", str(out)] if name != "validate" else [])
+            before = _files_outside(root, out)
+            assert main(argv) in (0, 1, 2), argv
+            assert _files_outside(root, out) == before, argv
 
 
 def test_validate_efg_and_ged_commands_do_not_import_scipy(tmp_path):

@@ -95,6 +95,7 @@ class TestManifestTypes:
             ("id", None, "id must be a non-empty string"),
             ("id", "", "id must be a non-empty string"),
             ("id", 7, "id must be a non-empty string"),
+            ("id", "m\ud800", r"id 'm\\ud800' holds a lone surrogate"),
         ],
     )
     def test_bad_entry_field(self, tmp_path, field, value, message):

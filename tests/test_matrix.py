@@ -58,6 +58,20 @@ class TestDistanceMatrixType:
         with pytest.raises(ValueError):
             DistanceMatrix(ids=("a", "b"), values=values, measure="transition")
 
+    @pytest.mark.parametrize(
+        "flagged",
+        [[(0, 0), (1, 0)], [(1, 0)], [(0, 0)], [(0, 1), (1, 0), (2, 2)]],
+        ids=["diagonal-and-lower", "lower-only", "diagonal", "symmetric-plus-diagonal"],
+    )
+    def test_rejects_flags_the_export_would_drop(self, flagged):
+        # export_matrix writes the upper triangle of the flags alone, so a
+        # lower-only or diagonal flag would not survive a reload
+        approx = [[False] * 3 for _ in range(3)]
+        for i, j in flagged:
+            approx[i][j] = True
+        with pytest.raises(ValueError, match="flags must be symmetric"):
+            DistanceMatrix(ids=("a", "b", "c"), values=np.zeros((3, 3)), measure="efg", approx=approx)
+
     def test_unknown_id_raises_key_error(self):
         matrix = DistanceMatrix(ids=("a", "b"), values=np.zeros((2, 2)), measure="transition")
         assert matrix.index("b") == 1
