@@ -8,10 +8,9 @@ the n best-ranked originals against the n best-ranked representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .manifest import RankedModelSet
 from .measures import Measure, left_sum
@@ -43,8 +42,7 @@ def mean_pairwise_distance(
     return left_sum(matrix.values[a][b] for a, b in combinations(rows, 2)) / comb(len(rows), 2)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     n: int
     model_count: int
     representative_count: int
@@ -53,14 +51,12 @@ class CurvePoint:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class ReductionCurve:
+class ReductionCurve(NamedTuple):
     measure: str
     points: tuple[CurvePoint, ...]
 
 
-@dataclass(frozen=True)
-class DiversityEntry:
+class DiversityEntry(NamedTuple):
     n: int
     original_count: int
     representative_count: int
@@ -68,8 +64,7 @@ class DiversityEntry:
     representative_mean: float | None
 
 
-@dataclass(frozen=True)
-class DiversityReport:
+class DiversityReport(NamedTuple):
     measure: str
     entries: tuple[DiversityEntry, ...]
 
@@ -113,16 +108,7 @@ def reduction_curve(
             selected = result.selected
             count, threshold, score = len(selected.clusters), selected.threshold, selected.silhouette
             degenerate = result.all_degenerate
-        points.append(
-            CurvePoint(
-                n=n,
-                model_count=len(prefix),
-                representative_count=count,
-                threshold=threshold,
-                silhouette=score,
-                degenerate=degenerate,
-            )
-        )
+        points.append(CurvePoint(n, len(prefix), count, threshold, score, degenerate))
     return ReductionCurve(measure=measure.value, points=tuple(points))
 
 
@@ -149,17 +135,9 @@ def diversity_report(
     full = _full_matrix(ranked, matrix)
     entries = []
     for n in ns:
-        originals = top_n(ranked, n)
-        reprs = top_n(repr_ranked, n)
-        entries.append(
-            DiversityEntry(
-                n=n,
-                original_count=len(originals),
-                representative_count=len(reprs),
-                original_mean=mean_pairwise_distance(originals, full),
-                representative_mean=mean_pairwise_distance(reprs, full),
-            )
-        )
+        originals, reprs = top_n(ranked, n), top_n(repr_ranked, n)
+        means = (mean_pairwise_distance(originals, full), mean_pairwise_distance(reprs, full))
+        entries.append(DiversityEntry(n, len(originals), len(reprs), *means))
     return DiversityReport(measure=measure.value, entries=tuple(entries))
 
 

@@ -12,31 +12,31 @@ the best ranked member or the medoid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import takewhile
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .manifest import RankedModelSet
 from .matrix import DistanceMatrix
 from .measures import left_sum
+from .petri import Frozen
 
 DEFAULT_THRESHOLDS: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
 ClusterSet = tuple[frozenset[str], ...]
 
 
-@dataclass(frozen=True)
-class ClusteringParams:
+class ClusteringParams(Frozen):
+    __slots__ = ("threshold",)
     threshold: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
+    def __init__(self, threshold: float):
+        if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
+        self._set(threshold=threshold)
 
 
-@dataclass(frozen=True)
-class MergeStep:
+class MergeStep(NamedTuple):
     first: frozenset[str]
     second: frozenset[str]
     distance: float
@@ -184,15 +184,13 @@ def _silhouettes(matrix: DistanceMatrix, partitions: Sequence[ClusterSet]) -> li
     return widths
 
 
-@dataclass(frozen=True)
-class ThresholdOutcome:
+class ThresholdOutcome(NamedTuple):
     threshold: float
     clusters: ClusterSet
     silhouette: float | None
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     outcomes: tuple[ThresholdOutcome, ...]
     best: ThresholdOutcome | None
 

@@ -7,10 +7,8 @@ order so repeated runs diff clean.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import asdict, fields
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -25,7 +23,7 @@ if TYPE_CHECKING:
     from .matrix import DistanceMatrix
 
 MATRIX_DECIMALS = 6  # the CSV precision; matrices are rounded to it before clustering
-_CSV_SPECIAL = frozenset(',"\r\n')  # characters that make csv quote a field
+_CSV_SPECIAL = frozenset(',"\r\n')  # characters that make a CSV field quoted
 
 
 def _fixed(value: float) -> str:
@@ -36,12 +34,16 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _field(value: object) -> str:
+    """One CSV field, quoted as ``csv.writer`` quotes it, and also when it holds
+    a lone carriage return: ``csv.writer`` with a newline line end leaves that
+    bare, and ``csv.reader`` then splits the row at it."""
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.intersection(text) else text
+
+
 def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    return "".join(",".join(map(_field, row)) + "\n" for row in chain([header], rows))
 
 
 def _write(path: Path | str, text: str) -> None:
@@ -53,14 +55,12 @@ def _write_json(path: Path | str, payload: dict) -> None:
 
 
 def matrix_to_csv(matrix: DistanceMatrix) -> str:
-    """The header and ids through ``csv``; each row's values in one ``%`` call,
+    """The header and ids through ``_field``; each row's values in one ``%`` call,
     the same digits as formatting every cell with ``f"{value:.6f}"``."""
     row_format = f",%.{MATRIX_DECIMALS}f" * len(matrix.ids) + "\n"
     lines = [_csv(["id", *matrix.ids], ())]
     for model_id, row in zip(matrix.ids, matrix.values):
-        # an id holding a delimiter, quote or line break gets csv's quoting
-        cell = _csv([model_id], ())[:-1] if _CSV_SPECIAL.intersection(model_id) else model_id
-        lines.append(cell + row_format % tuple(row))
+        lines.append(_field(model_id) + row_format % tuple(row))
     return "".join(lines)
 
 
@@ -85,6 +85,8 @@ def export_matrix(matrix: DistanceMatrix, path: Path | str) -> None:
 def load_matrix(path: Path | str, measure: str = "loaded") -> DistanceMatrix:
     """Read a matrix CSV produced by export_matrix, with its approximation
     flags when the sibling flags file exists."""
+    import csv
+
     from .matrix import DistanceMatrix
 
     path = Path(path)
@@ -165,10 +167,11 @@ def _cell(value: object, decimal: bool) -> object:
 
 
 def _rows_csv(measure: str, cls: type, items: Sequence[object]) -> str:
-    """One row per dataclass item, ``measure`` first. Fields typed float get
-    six decimals whatever the value's type (an int threshold prints
-    1.000000), bools print true/false, and None prints an empty cell."""
-    columns = [(f.name, "float" in str(f.type)) for f in fields(cls)]
+    """One row per item of the ``NamedTuple`` class ``cls``, ``measure`` first.
+    Fields typed float get six decimals whatever the value's type (an int
+    threshold prints 1.000000), bools print true/false, and None prints an
+    empty cell."""
+    columns = [(name, "float" in str(kind)) for name, kind in cls.__annotations__.items()]
     rows = ([measure, *(_cell(getattr(item, n), decimal) for n, decimal in columns)] for item in items)
     return _csv(["measure", *(name for name, _ in columns)], rows)
 
@@ -185,8 +188,8 @@ def export_reports(
     _write(out_dir / "diversity.csv", _rows_csv(diversity.measure, DiversityEntry, diversity.entries))
     _write_json(out_dir / "report.json", {
         "measure": curve.measure,
-        "reduction_curve": [asdict(p) for p in curve.points],
-        "diversity": [asdict(e) for e in diversity.entries],
+        "reduction_curve": [p._asdict() for p in curve.points],
+        "diversity": [e._asdict() for e in diversity.entries],
     })
 
 

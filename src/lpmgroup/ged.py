@@ -34,9 +34,9 @@ The incumbent comes from a node-cost-optimal assignment, solved by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import getitem
+from typing import NamedTuple
 
 from .measures import DEFAULT_GED_BUDGET, _lsap, _ordered, left_sum, place_gain
 from .petri import LocalProcessModel
@@ -45,8 +45,7 @@ from .petri import LocalProcessModel
 _BOUND_MEMO_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
-class GedResult:
+class GedResult(NamedTuple):
     cost: float
     exact: bool
     expansions: int = 0  # search nodes expanded; 0 for the identity shortcut

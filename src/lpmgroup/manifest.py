@@ -20,11 +20,10 @@ would distort rank-based analytics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .petri import LocalProcessModel, validate_lpm
+from .petri import Frozen, LocalProcessModel, validate_lpm
 from .pnml import PnmlError, parse_pnml_file
 
 
@@ -32,24 +31,22 @@ class ManifestError(ValueError):
     """The manifest or one of its models cannot be loaded."""
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     id: str
     path: Path
     rank: int
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     entries: tuple[ManifestEntry, ...]
     bound: int | None = None
     measure: str | None = None
 
 
-@dataclass(frozen=True)
-class RankedModelSet:
+class RankedModelSet(Frozen):
     """Models with a total, injective rank map (1 = best)."""
 
+    __slots__ = ("models", "ranks")
     models: tuple[LocalProcessModel, ...]
     ranks: Mapping[str, int]
 
@@ -66,8 +63,7 @@ class RankedModelSet:
             raise ValueError("ranks must be positive integers")
         if len(set(values)) != len(values):
             raise ValueError("ranks must be unique")
-        object.__setattr__(self, "models", models)
-        object.__setattr__(self, "ranks", ranks)
+        self._set(models=models, ranks=ranks)
 
     def __len__(self) -> int:
         return len(self.models)
@@ -96,8 +92,7 @@ class RankedModelSet:
         )
 
 
-@dataclass(frozen=True)
-class LoadedModels:
+class LoadedModels(NamedTuple):
     manifest: Manifest
     ranked: RankedModelSet
     skipped: tuple[tuple[str, tuple[str, ...]], ...]  # (id, violations)
@@ -177,8 +172,4 @@ def load_manifest(path: Path | str, skip_invalid: bool = False) -> LoadedModels:
             )
         models.append(LocalProcessModel(id=entry.id, net=net, initial=initial, final=final))
         ranks[entry.id] = entry.rank
-    return LoadedModels(
-        manifest=manifest,
-        ranked=RankedModelSet(models=tuple(models), ranks=ranks),
-        skipped=tuple(skipped),
-    )
+    return LoadedModels(manifest, RankedModelSet(models, ranks), tuple(skipped))

@@ -21,12 +21,11 @@ from __future__ import annotations
 import marshal
 import math
 import os
-from dataclasses import dataclass, field
 from functools import reduce
 from importlib import import_module
 from itertools import chain, combinations, compress, islice
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exports import MATRIX_DECIMALS
 from .measures import (
@@ -41,6 +40,7 @@ from .measures import (
 from .petri import (
     DEFAULT_BOUND,
     DEFAULT_ENUM_CAP,
+    Frozen,
     LocalProcessModel,
     bounded_language,
     eventually_follows,
@@ -49,17 +49,19 @@ from .petri import (
 _SCALE = 10.0**MATRIX_DECIMALS
 
 
-@dataclass(frozen=True)
-class MatrixParams:
+class MatrixParams(Frozen):
     """Knobs shared by the language- and search-based measures."""
 
-    bound: int = DEFAULT_BOUND
-    lang_cap: int = DEFAULT_LANG_CAP
-    enum_cap: int = DEFAULT_ENUM_CAP
-    ged_budget: int = DEFAULT_GED_BUDGET
-    workers: int = 1
+    __slots__ = ("bound", "lang_cap", "enum_cap", "ged_budget", "workers")
+    bound: int
+    lang_cap: int
+    enum_cap: int
+    ged_budget: int
+    workers: int
 
-    def __post_init__(self):
+    def __init__(self, bound: int = DEFAULT_BOUND, lang_cap: int = DEFAULT_LANG_CAP, enum_cap: int = DEFAULT_ENUM_CAP,
+                 ged_budget: int = DEFAULT_GED_BUDGET, workers: int = 1):
+        self._set(bound=bound, lang_cap=lang_cap, enum_cap=enum_cap, ged_budget=ged_budget, workers=workers)
         for name in ("bound", "lang_cap", "enum_cap", "ged_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -86,31 +88,32 @@ def _table(rows, convert) -> Table:
         raise ValueError("matrix shape does not match the id list") from None
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
+class DistanceMatrix(Frozen):
     """Symmetric pairwise distances in [0, 1] with per-pair approximation flags.
 
     ``values`` and ``approx`` are ``Table``s; the constructor takes any
-    nested sequence of numbers, a numpy array included.
+    nested sequence of numbers, a numpy array included. Matrices compare by
+    identity.
     """
 
+    __slots__ = ("ids", "values", "measure", "approx", "_rows")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     ids: tuple[str, ...]
     values: Table
     measure: str
-    approx: Table = field(default=None)  # type: ignore[assignment]
-    _rows: dict[str, int] = field(init=False, repr=False)  # id -> row
+    approx: Table
+    _rows: dict[str, int]  # id -> row
 
-    def __post_init__(self):
-        n = len(self.ids)
-        ids = tuple(self.ids)
+    def __init__(self, ids: Sequence[str], values: Sequence[Sequence[float]], measure: str,
+                 approx: Sequence[Sequence[bool]] | None = None):
+        n = len(ids)
+        ids = tuple(ids)
         if len(set(ids)) != n:
             raise ValueError("model ids must be unique")
-        values = _table(self.values, float)
-        approx = Table((False,) * n for _ in range(n)) if self.approx is None else _table(self.approx, bool)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "approx", approx)
-        object.__setattr__(self, "_rows", {model_id: k for k, model_id in enumerate(ids)})
+        values = _table(values, float)
+        approx = Table((False,) * n for _ in range(n)) if approx is None else _table(approx, bool)
+        self._set(ids=ids, values=values, measure=measure, approx=approx, _rows={m: k for k, m in enumerate(ids)})
         if len(values) != n or len(approx) != n or any(len(row) != n for row in chain(values, approx)):
             raise ValueError("matrix shape does not match the id list")
         if n and (
@@ -162,8 +165,7 @@ class DistanceMatrix:
         )
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
+class MeasureSpec(NamedTuple):
     """How one measure turns models into features and feature pairs into a similarity.
 
     Both steps also return an approximation flag; a pair is approximate when

@@ -16,11 +16,10 @@ bit for bit. The module needs only the standard library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .petri import BoundedLanguage, LabeledPetriNet, LocalProcessModel, Trace
 
@@ -77,8 +76,7 @@ def normalized_levenshtein(t1: Sequence[str], t2: Sequence[str]) -> float:
     return levenshtein(t1, t2) / longest
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """A one-to-one row/column matching with maximal total gain."""
 
     pairs: tuple[tuple[int, int], ...]

@@ -17,10 +17,9 @@ up to the bound without listing any trace.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 # Label of silent transitions. Activity names are non-empty strings, so the
 # empty string can never collide with a real activity.
@@ -37,14 +36,50 @@ class NetStructureError(ValueError):
     """The arc/label structure violates the labeled-Petri-net invariants."""
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledPetriNet:
+class Frozen:
+    """Base of the records whose constructor converts or checks its arguments.
+
+    ``__init__`` sets the ``__slots__`` fields once, through ``_set``; assigning
+    to one later raises ``AttributeError``. Fields without a leading underscore
+    make the repr and, unless a subclass compares by identity, equality and
+    the hash, as a frozen dataclass's do."""
+
+    __slots__ = ()
+
+    def _set(self, **fields: object) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:  # copy and pickle restore the slots here
+        self._set(**state[1])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+class LabeledPetriNet(Frozen):
     """Places, transitions, directed place<->transition arcs, and labels.
 
     ``labels`` must be total on transitions; silent transitions carry
-    ``SILENT``. Duplicate labels are allowed.
+    ``SILENT``. Duplicate labels are allowed. Nets compare by content.
     """
 
+    __slots__ = ("places", "transitions", "arcs", "labels", "_pre", "_post", "_key", "_context", "_activities")
     places: frozenset[str]
     transitions: frozenset[str]
     arcs: frozenset[tuple[str, str]]
@@ -57,24 +92,22 @@ class LabeledPetriNet:
         arcs: Iterable[tuple[str, str]],
         labels: Mapping[str, str],
     ):
-        object.__setattr__(self, "places", frozenset(places))
-        object.__setattr__(self, "transitions", frozenset(transitions))
-        object.__setattr__(self, "arcs", frozenset((str(a), str(b)) for a, b in arcs))
-        object.__setattr__(self, "labels", dict(labels))
+        self._set(places=frozenset(places), transitions=frozenset(transitions),
+                  arcs=frozenset((str(a), str(b)) for a, b in arcs), labels=dict(labels))
         self._check()
         pre: dict[str, set[str]] = {n: set() for n in self.places | self.transitions}
         post: dict[str, set[str]] = {n: set() for n in self.places | self.transitions}
         for src, dst in self.arcs:
             post[src].add(dst)
             pre[dst].add(src)
-        object.__setattr__(self, "_pre", {n: frozenset(s) for n, s in pre.items()})
-        object.__setattr__(self, "_post", {n: frozenset(s) for n, s in post.items()})
-        object.__setattr__(self, "_key", self._fingerprint())
         named = self.labels.__getitem__
-        object.__setattr__(self, "_context", {
-            p: (frozenset(map(named, pre[p])), frozenset(map(named, post[p]))) for p in self.places
-        })
-        object.__setattr__(self, "_activities", frozenset(self.labels.values()) - {SILENT})
+        self._set(
+            _pre={n: frozenset(s) for n, s in pre.items()},
+            _post={n: frozenset(s) for n, s in post.items()},
+            _key=tuple(tuple(sorted(part)) for part in (self.places, self.transitions, self.arcs, self.labels.items())),
+            _context={p: (frozenset(map(named, pre[p])), frozenset(map(named, post[p]))) for p in self.places},
+            _activities=frozenset(self.labels.values()) - {SILENT},
+        )
 
     def _check(self) -> None:
         overlap = self.places & self.transitions
@@ -92,14 +125,6 @@ class LabeledPetriNet:
         extra = set(self.labels) - self.transitions
         if extra:
             raise NetStructureError(f"labels for unknown transitions: {sorted(extra)}")
-
-    def _fingerprint(self) -> tuple:
-        return (
-            tuple(sorted(self.places)),
-            tuple(sorted(self.transitions)),
-            tuple(sorted(self.arcs)),
-            tuple(sorted(self.labels.items())),
-        )
 
     def preset(self, node: str) -> frozenset[str]:
         return self._pre[node]  # type: ignore[attr-defined]
@@ -138,11 +163,11 @@ class LabeledPetriNet:
         )
 
 
-@dataclass(frozen=True)
-class Marking:
-    """Immutable multiset of places; the state of a net."""
+class Marking(Frozen):
+    """Immutable multiset of places; the state of a net. Markings compare by their counts."""
 
-    counts: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("counts",)
+    counts: tuple[tuple[str, int], ...]
 
     def __init__(self, tokens: Iterable[str] | Mapping[str, int] = ()):
         if isinstance(tokens, Mapping):
@@ -153,7 +178,7 @@ class Marking:
                 items[p] = items.get(p, 0) + 1
         if any(c < 0 for c in items.values()):
             raise ValueError("token counts must be non-negative")
-        object.__setattr__(self, "counts", tuple(sorted(items.items())))
+        self._set(counts=tuple(sorted(items.items())))
 
     def get(self, place: str) -> int:
         for p, c in self.counts:
@@ -172,26 +197,30 @@ class Marking:
         return f"Marking({{{inner}}})"
 
 
-@dataclass(frozen=True, eq=False)
-class LocalProcessModel:
+class LocalProcessModel(Frozen):
     """An accepting labeled Petri net with a stable identifier.
 
     Construction does not enforce the LPM well-formedness rules; run
     ``validate_lpm`` to obtain a violation report.
     """
 
+    __slots__ = ("id", "net", "initial", "final")
+    __eq__ = object.__eq__  # models compare by identity
+    __hash__ = object.__hash__
     id: str
     net: LabeledPetriNet
     initial: Marking
     final: Marking
+
+    def __init__(self, id: str, net: LabeledPetriNet, initial: Marking, final: Marking):
+        self._set(id=id, net=net, initial=initial, final=final)
 
     def fingerprint(self) -> tuple:
         """Content key, used for canonical ordering of model pairs; models compare by identity."""
         return (self.net._key, self.initial.counts, self.final.counts)  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property
@@ -290,8 +319,7 @@ class _FiringRule:
         return tuple(map(add, counts, self._delta[k])), used | self._free_mask[k]
 
 
-@dataclass(frozen=True)
-class BoundedLanguage:
+class BoundedLanguage(NamedTuple):
     """Silent-free label traces of the valid complete firing sequences."""
 
     bound: int

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lpmgroup
-from lpmgroup import Measure, write_pnml
+from lpmgroup import LocalProcessModel, Measure, write_pnml
 from lpmgroup.cli import main
 from genmodels import chain_lpm, planted_groups, self_loop_star, with_isolated_transition
 
@@ -165,6 +165,22 @@ class TestCluster:
         assert (one_shot / f"matrix_{measure}.csv").read_bytes() == (
             staged_matrix / f"matrix_{measure}.csv"
         ).read_bytes()
+
+    def test_cached_matrix_of_ids_with_line_breaks_equals_one_shot(self, tmp_path):
+        # a bare "\r" in an id must be quoted in the matrix and flags files,
+        # or csv.reader splits its row and the cached run refuses the matrix
+        star = self_loop_star(4)  # over the enumeration cap: its pairs are flagged
+        models = [chain_lpm("a\nb", ["a", "b"]), chain_lpm("c\rd", ["a", "c"]),
+                  LocalProcessModel('e,"f', star.net, star.initial, star.final)]
+        manifest = write_manifest(tmp_path, models, by_position=True)
+        common = ["--manifest", str(manifest), "--measure", "efg", "--enum-cap", "50"]
+        assert main(["cluster", *common, "--out", str(tmp_path / "oneshot")]) == 0
+        assert main(["matrix", *common, "--out", str(tmp_path / "staged")]) == 0
+        assert (tmp_path / "staged" / "matrix_efg_approx.csv").exists()
+        cached = ["--matrix", str(tmp_path / "staged" / "matrix_efg.csv"), "--out", str(tmp_path / "cached")]
+        assert main(["cluster", *common, *cached]) == 0
+        for name in ("clusters.csv", "sweep.json"):
+            assert (tmp_path / "oneshot" / name).read_bytes() == (tmp_path / "cached" / name).read_bytes()
 
     def test_bound_ignored_notice_for_transition(self, tmp_path, capsys):
         manifest = identical_manifest(tmp_path)
@@ -554,8 +570,9 @@ def test_cli_survives_hostile_model_ids(ids):
 def test_validate_efg_and_ged_commands_do_not_import_scipy(tmp_path):
     # No command imports scipy or numpy: both are blocked, and every command
     # runs under every measure, sequentially and with two processes. No
-    # command loads concurrent.futures or multiprocessing; a module-level
-    # import anywhere would bring its import time back into every command.
+    # command loads concurrent.futures, multiprocessing or dataclasses; a
+    # module-level import anywhere would bring its import time back into
+    # every command.
     # Forks are counted with two usable CPUs: validate, render, --workers 1
     # and a cached matrix never fork, every other --workers 2 call forks
     # once. Only the ged measure loads the GED search module.
@@ -600,7 +617,7 @@ def run_all(workers, measures=("transition", "node", "efg", "full", "ged")):
         run("cluster", "--measure", measure, "--matrix", cached, "--workers", workers,
             out=f"{{measure}}-{{workers}}-cached")
 
-unwanted_names = ("numpy", "scipy", "concurrent.futures", "multiprocessing", "lpmgroup.ged")
+unwanted_names = ("numpy", "scipy", "concurrent.futures", "multiprocessing", "dataclasses", "lpmgroup.ged")
 run("validate")
 unwanted = [loaded(*unwanted_names)]
 run("render", out="render")

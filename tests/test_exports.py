@@ -42,7 +42,9 @@ class TestMatrixExport:
     def test_rows_match_per_cell_formatting_byte_for_byte(self):
         """Half-way values k/2e6 round in the last printed digit, and ids with
         commas, quotes or line breaks need csv quoting; the row-at-a-time
-        writer must give the bytes of formatting every cell on its own."""
+        writer must give the bytes of formatting every cell on its own, with
+        a lone carriage return quoted like a newline, so that ``csv.reader``
+        reads every id back."""
         rng = random.Random(71)
         ids = ("plain", "with,comma", 'with"quote', '"both",', "line\nbreak", "cr\rid", "", "m7", "m8", "m9")
         n = len(ids)
@@ -55,11 +57,18 @@ class TestMatrixExport:
                 if values[i][j] == k / 2e6:
                     half_way.append(k)
         matrix = DistanceMatrix(ids=ids, values=values, measure="rnd")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", *ids])
-        writer.writerows([model_id, *(f"{v:.6f}" for v in row)] for model_id, row in zip(ids, values))
-        assert matrix_to_csv(matrix) == buf.getvalue()
+
+        def line(cells):  # csv's quoting with "\r" as a line break too, and a "\n" line end
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow(cells)
+            return buf.getvalue()[:-2] + "\n"
+
+        expected = line(["id", *ids]) + "".join(
+            line([model_id, *(f"{v:.6f}" for v in row)]) for model_id, row in zip(ids, values)
+        )
+        assert matrix_to_csv(matrix) == expected
+        rows = list(csv.reader(io.StringIO(expected, newline="")))
+        assert rows[0] == ["id", *ids] and [row[0] for row in rows[1:]] == list(ids)
         # the half-way cells round both down and up
         assert {round(float(f"{k / 2e6:.6f}") * 2e6) - k for k in half_way} == {-1, 1}
 
