@@ -87,8 +87,7 @@ def reduction_curve(
 ) -> ReductionCurve:
     """Representative counts from re-clustering each top-n prefix.
 
-    ``matrix`` covers the ranked set, typically the pipeline's rounded
-    matrix; each prefix is clustered on its slice of it.
+    ``matrix`` covers the ranked set; each prefix is clustered on its slice of it.
     ``thresholds`` defaults to ``DEFAULT_THRESHOLDS``.
     """
     from .clustering import DEFAULT_THRESHOLDS, sweep
@@ -99,12 +98,15 @@ def reduction_curve(
     measure = Measure(measure)
     full = _full_matrix(ranked, matrix)
     points = []
+    sweeps = {}  # by prefix length: prefixes are nested by rank, so one length is one set
     for n in ns:
         prefix = [m.id for m in top_n(ranked, n)]
         if len(prefix) < 2:  # nothing to cluster: each model represents itself
             count, threshold, score, degenerate = len(prefix), None, None, True
         else:
-            result = sweep(full.submatrix(prefix), thresholds)
+            if len(prefix) not in sweeps:
+                sweeps[len(prefix)] = sweep(full.submatrix(prefix), thresholds)
+            result = sweeps[len(prefix)]
             selected = result.selected
             count, threshold, score = len(selected.clusters), selected.threshold, selected.silhouette
             degenerate = result.all_degenerate

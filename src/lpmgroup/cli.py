@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 on input errors, and 2 when a degenerate
 clustering result (no silhouette-selectable threshold) is escalated by
-``--strict``. Distances are quantized to the CSV precision before
-clustering, so running from a cached matrix file and running end to end
-produce identical outputs.
+``--strict``. ``distance_matrix`` gives distances at the CSV precision, so
+running from a cached matrix file and running end to end produce identical
+outputs.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def _resolve_params(args, manifest, measure: Measure) -> MatrixParams:
                 flag = "--" + name.replace("_", "-")
                 print(f"notice: {flag} has no effect for measure {measure.value}; ignored", file=sys.stderr)
     try:
-        return MatrixParams(**given, workers=max(1, args.workers))
+        return MatrixParams(**given, workers=args.workers)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -189,13 +189,13 @@ def _setup(args):
 
 
 def _compute_matrix(args, loaded, measure: Measure) -> DistanceMatrix:
-    """The distance matrix, rounded to the CSV precision."""
+    """The distance matrix of the valid models, at the CSV precision."""
     from .matrix import distance_matrix
 
     params = _resolve_params(args, loaded.manifest, measure)
     if len(loaded.ranked) < 2:
         raise CliError("need at least two valid models")
-    return distance_matrix(loaded.ranked.models, measure, params).rounded()
+    return distance_matrix(loaded.ranked.models, measure, params)
 
 
 def _cmd_matrix(args) -> int:

@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from .manifest import RankedModelSet
     from .matrix import DistanceMatrix
 
-MATRIX_DECIMALS = 6  # the CSV precision; matrices are rounded to it before clustering
+MATRIX_DECIMALS = 6  # the CSV precision; distance_matrix quantizes to it
 _CSV_SPECIAL = frozenset(',"\r\n')  # characters that make a CSV field quoted
 
 

@@ -3,8 +3,8 @@
 ``MEASURES`` is the one dispatch over the five measures: per measure, a
 ``featurize`` step run once per model, a ``compare`` step run per pair, and
 the ``MatrixParams`` fields the two read. ``similarity``/``distance`` (one
-pair), ``distance_matrix`` (all pairs) and the CLI's parameter notices all
-read this table.
+pair, raw), ``distance_matrix`` (all pairs, at the CSV precision) and the
+CLI's parameter notices all read this table.
 
 ``distance_matrix`` splits the pairs by stride over ``workers`` processes,
 the calling one included, at most one per CPU this process may run on. The
@@ -49,6 +49,11 @@ from .petri import (
 _SCALE = 10.0**MATRIX_DECIMALS
 
 
+def _quantized(x: float) -> float:
+    """``x`` at the CSV precision: scaled by 1e6, rounded half to even and divided back, as ``numpy.round(x, 6)``."""
+    return round(x * _SCALE) / _SCALE
+
+
 class MatrixParams(Frozen):
     """Knobs shared by the language- and search-based measures."""
 
@@ -62,7 +67,7 @@ class MatrixParams(Frozen):
     def __init__(self, bound: int = DEFAULT_BOUND, lang_cap: int = DEFAULT_LANG_CAP, enum_cap: int = DEFAULT_ENUM_CAP,
                  ged_budget: int = DEFAULT_GED_BUDGET, workers: int = 1):
         self._set(bound=bound, lang_cap=lang_cap, enum_cap=enum_cap, ged_budget=ged_budget, workers=workers)
-        for name in ("bound", "lang_cap", "enum_cap", "ged_budget"):
+        for name in self.__slots__:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -152,14 +157,10 @@ class DistanceMatrix(Frozen):
         )
 
     def rounded(self) -> "DistanceMatrix":
-        """Quantized copy, matching the CSV export precision.
-
-        Each value is scaled by 1e6, rounded half to even and divided back,
-        as ``numpy.round(x, 6)`` does, to the same float.
-        """
+        """Copy at the CSV precision, for hand-built matrices: ``distance_matrix`` gives that precision already."""
         return DistanceMatrix(
             ids=self.ids,
-            values=[[round(x * _SCALE) / _SCALE for x in row] for row in self.values],
+            values=[list(map(_quantized, row)) for row in self.values],
             measure=self.measure,
             approx=self.approx,
         )
@@ -259,7 +260,7 @@ def _stride(compare, features, params: MatrixParams, k: int, procs: int) -> tupl
     for i, j in islice(combinations(range(len(features)), 2), k, None, procs):
         (fa, approx_a), (fb, approx_b) = features[i], features[j]
         sim, approx = compare(fa, fb, params)
-        values.append(1.0 - sim)
+        values.append(_quantized(1.0 - sim))
         flags.append(approx_a or approx_b or approx)
     return values, flags
 

@@ -27,8 +27,8 @@ def small_ranked(n=5) -> RankedModelSet:
 
 
 def pipeline_matrix(ranked) -> DistanceMatrix:
-    """The transition matrix as the CLI computes it: rounded to the CSV precision."""
-    return distance_matrix(ranked.models, Measure.TRANSITION).rounded()
+    """The transition matrix as the CLI computes it, at the CSV precision."""
+    return distance_matrix(ranked.models, Measure.TRANSITION)
 
 
 def fixture_matrix(ids, rng) -> DistanceMatrix:
@@ -116,6 +116,20 @@ class TestReductionCurve:
         for point in curve.points:
             assert point.representative_count <= point.n
             assert point.model_count == min(point.n, len(ranked))
+
+    def test_one_sweep_per_distinct_prefix(self, monkeypatch):
+        import lpmgroup.clustering
+
+        ranked = planted_groups(groups=3, copies=4)
+        matrix = pipeline_matrix(ranked)
+        ns = [5, 10, 20, 50, 100, 500]
+        alone = [reduction_curve(ranked, Measure.TRANSITION, ns=[n], matrix=matrix).points[0] for n in ns]
+        calls = []
+        real_sweep = lpmgroup.clustering.sweep
+        monkeypatch.setattr(lpmgroup.clustering, "sweep", lambda *a: calls.append(1) or real_sweep(*a))
+        curve = reduction_curve(ranked, Measure.TRANSITION, ns=ns, matrix=matrix)
+        assert list(curve.points) == alone
+        assert len(calls) == 3  # prefixes of 5, 10 and all 12 models
 
     def test_matrix_must_cover_the_ranked_set(self):
         ranked = planted_groups(groups=2, copies=2)

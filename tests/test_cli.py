@@ -132,6 +132,19 @@ class TestCluster:
         rows = (out / "clusters.csv").read_text(encoding="utf-8").splitlines()
         assert sum(r.endswith(",true") for r in rows) == 1
 
+    def test_library_matrix_clusters_as_the_cli_does(self, tmp_path):
+        # 1 - dice of these label sets is 0.09999999999999998 unquantized, which
+        # would merge the pair at threshold 0.1; at the CSV precision it is 0.1
+        models = [chain_lpm("j", list("ABCDEFGHIJ")), chain_lpm("k", list("ABCDEFGHIK"))]
+        library = lpmgroup.sweep(lpmgroup.distance_matrix(models, Measure.TRANSITION), (0.1,))
+        out = tmp_path / "out"
+        main([
+            "cluster", "--manifest", str(write_manifest(tmp_path, models)), "--measure", "transition",
+            "--thresholds", "0.1:0.1:0.1", "--out", str(out),
+        ])
+        cli = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
+        assert len(library.selected.clusters) == cli["cluster_count"] == 2
+
     def test_default_thresholds_cover_tenths(self, tmp_path):
         manifest = varied_manifest(tmp_path)
         out = tmp_path / "out"
@@ -367,6 +380,7 @@ class TestErrors:
             ("full", "--lang-cap", "0"),
             ("efg", "--enum-cap", "0"),
             ("ged", "--ged-budget", "-1"),
+            ("transition", "--workers", "0"),
         ],
     )
     def test_non_positive_measure_parameter_exits_one(self, tmp_path, capsys, measure, flag, value):

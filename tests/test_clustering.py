@@ -209,6 +209,18 @@ class TestSweep:
                 assert [s.distance for s in steps] == oracle_distances
 
 
+    def test_fine_thresholds_equal_agglomerate_and_silhouette(self):
+        # thresholds a thousandth apart, and every entry of the matrix, where
+        # a merge at exactly that distance must stay out; shuffled
+        rng = random.Random(107)
+        matrix = random_matrix(rng, 12)
+        thresholds = [round(k * 1e-3, 3) for k in range(1001)] + [x for row in matrix.values for x in row]
+        rng.shuffle(thresholds)
+        result = sweep(matrix, thresholds)
+        for threshold, outcome in zip(thresholds, result.outcomes):
+            clusters, _ = agglomerate(matrix, ClusteringParams(threshold=threshold))
+            assert outcome == (threshold, clusters, silhouette(matrix, clusters))
+
     def test_every_silhouette_equals_point_by_point_oracle(self):
         """Bit for bit, not approximately: sweep.json prints silhouettes at
         full precision."""

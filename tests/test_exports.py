@@ -83,7 +83,7 @@ class TestMatrixExport:
             measure="efg",
             approx=approx,
         )
-        for k, matrix in enumerate((distance_matrix(models, Measure.NODE).rounded(), approx_bearing)):
+        for k, matrix in enumerate((distance_matrix(models, Measure.NODE), approx_bearing)):
             first = tmp_path / f"one{k}.csv"
             export_matrix(matrix, first)
             loaded = load_matrix(first, measure=matrix.measure)

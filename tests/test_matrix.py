@@ -17,8 +17,9 @@ from lpmgroup import (
     MatrixParams,
     distance,
     distance_matrix,
+    similarity,
 )
-from lpmgroup.matrix import MEASURES, MeasureSpec
+from lpmgroup.matrix import MEASURES, MeasureSpec, _quantized
 from genmodels import chain_lpm, random_lpm
 
 
@@ -90,7 +91,7 @@ class TestDistanceMatrixType:
 
 
 class TestMatrixParams:
-    @pytest.mark.parametrize("name", ["bound", "lang_cap", "enum_cap", "ged_budget"])
+    @pytest.mark.parametrize("name", ["bound", "lang_cap", "enum_cap", "ged_budget", "workers"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_rejects_non_positive(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -112,7 +113,7 @@ class TestDistanceMatrixComputation:
         for i, a in enumerate(models):
             for j, b in enumerate(models):
                 if i != j:
-                    assert matrix.values[i][j] == distance(measure, a, b, **params)
+                    assert matrix.values[i][j] == _quantized(distance(measure, a, b, **params))
 
     def test_rejects_duplicate_model_ids(self):
         models = [chain_lpm("a", ["x"]), chain_lpm("a", ["y"])]
@@ -142,6 +143,8 @@ class TestDistanceMatrixComputation:
         for x in models:
             for y in models:
                 assert a.entry(x.id, y.id) == b.entry(x.id, y.id)
+                # the matrix holds quantized values: the kernel's raw bits must agree too
+                assert similarity(Measure.NODE, x, y).hex() == similarity(Measure.NODE, y, x).hex()
 
     @pytest.mark.parametrize("measure", list(Measure), ids=str)
     def test_worker_pool_matches_sequential(self, measure, forks):
@@ -152,6 +155,10 @@ class TestDistanceMatrixComputation:
         assert len(forks) == 1  # three workers asked for, two usable CPUs
         assert np.array_equal(seq.values, par.values)
         assert np.array_equal(seq.approx, par.approx)
+        # the values are already at the CSV precision: rounding changes no bit
+        hexes = [[x.hex() for x in row] for row in seq.rounded().values]
+        assert [[x.hex() for x in row] for row in seq.values] == hexes
+        assert [[x.hex() for x in row] for row in par.values] == hexes
 
     def test_truncated_language_sets_approx_flag(self):
         models = [chain_lpm("a", ["x", "y", "z"]), chain_lpm("b", ["x", "y"])]

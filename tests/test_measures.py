@@ -26,6 +26,7 @@ from lpmgroup import (
     similarity,
 )
 from lpmgroup.ged import _GedSearch, _bordered
+from lpmgroup.matrix import _quantized
 from lpmgroup.measures import _lsap
 from genmodels import chain_lpm, random_lpm, self_loop_star, xor_lpm
 from oracles import oracle_assignment, oracle_levenshtein
@@ -293,7 +294,7 @@ class TestEfg:
         relations = [ef_relation(lang) for lang in languages]
         for i in range(len(models)):
             for j in range(i + 1, len(models)):
-                assert dm.values[i][j] == 1.0 - dice(relations[i], relations[j])
+                assert dm.values[i][j] == _quantized(1.0 - dice(relations[i], relations[j]))
 
 
 class TestFull:

@@ -37,7 +37,7 @@ def _instances() -> dict:
     """One instance of every record class, by class name."""
     a, b = chain_lpm("m1", ["a", "b"]), chain_lpm("m2", ["a", "c"])
     ranked = RankedModelSet([a, b], {"m1": 1, "m2": 2})
-    matrix = distance_matrix(ranked.models, "transition").rounded()
+    matrix = distance_matrix(ranked.models, "transition")
     result = sweep(matrix)
     curve = reduction_curve(ranked, "transition", ns=(2,), matrix=matrix)
     diversity = diversity_report(ranked, ranked.subset(["m1"]), "transition", ns=(2,), matrix=matrix)
