@@ -182,17 +182,17 @@ def _out_dir(args) -> Path:
 
 
 def _setup(args):
-    """The models, the measure and the created --out directory of matrix, cluster and diversity."""
+    """The models, the measure, the created --out directory and the checked
+    matrix parameters of matrix, cluster and diversity, a cached matrix or not."""
     loaded = _load(args)
     measure = _resolve_measure(args, loaded.manifest)
-    return loaded, measure, _out_dir(args)
+    return loaded, measure, _out_dir(args), _resolve_params(args, loaded.manifest, measure)
 
 
-def _compute_matrix(args, loaded, measure: Measure) -> DistanceMatrix:
+def _compute_matrix(loaded, measure: Measure, params: MatrixParams) -> DistanceMatrix:
     """The distance matrix of the valid models, at the CSV precision."""
     from .matrix import distance_matrix
 
-    params = _resolve_params(args, loaded.manifest, measure)
     if len(loaded.ranked) < 2:
         raise CliError("need at least two valid models")
     return distance_matrix(loaded.ranked.models, measure, params)
@@ -201,8 +201,8 @@ def _compute_matrix(args, loaded, measure: Measure) -> DistanceMatrix:
 def _cmd_matrix(args) -> int:
     from .exports import export_matrix
 
-    loaded, measure, out = _setup(args)
-    matrix = _compute_matrix(args, loaded, measure)
+    loaded, measure, out, params = _setup(args)
+    matrix = _compute_matrix(loaded, measure, params)
     path = out / f"matrix_{measure.value}.csv"
     export_matrix(matrix, path)
     print(f"wrote {path} ({len(matrix)} models)")
@@ -224,7 +224,7 @@ def _cmd_cluster(args) -> int:
     from .exports import export_matrix, export_sweep, load_matrix
 
     thresholds = _parse_thresholds(args.thresholds)
-    loaded, measure, out = _setup(args)
+    loaded, measure, out, params = _setup(args)
     if args.matrix:
         try:
             matrix = load_matrix(args.matrix, measure=measure.value)
@@ -233,7 +233,7 @@ def _cmd_cluster(args) -> int:
         if set(matrix.ids) != {m.id for m in loaded.ranked.models}:
             raise CliError("cached matrix ids do not match the manifest")
     else:
-        matrix = _compute_matrix(args, loaded, measure)
+        matrix = _compute_matrix(loaded, measure, params)
         export_matrix(matrix, out / f"matrix_{measure.value}.csv")
     result, reps = _select_clusters(args, loaded, matrix, thresholds, out)
     export_sweep(result, reps, loaded.ranked, measure.value, args.repr_strategy, out / "sweep.json")
@@ -253,8 +253,8 @@ def _cmd_diversity(args) -> int:
     from .exports import export_reports
 
     thresholds, curve_ns, ns = _parse_thresholds(args.thresholds), _parse_ns(args.curve_ns), _parse_ns(args.ns)
-    loaded, measure, out = _setup(args)
-    matrix = _compute_matrix(args, loaded, measure)
+    loaded, measure, out, params = _setup(args)
+    matrix = _compute_matrix(loaded, measure, params)
     result, reps = _select_clusters(args, loaded, matrix, thresholds, out)
     curve = reduction_curve(loaded.ranked, measure, thresholds, curve_ns, matrix=matrix)
     repr_ranked = loaded.ranked.subset(reps)

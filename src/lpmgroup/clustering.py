@@ -3,10 +3,13 @@
 The greedy merge order never depends on the threshold, so a sweep builds
 one merge sequence and cuts it at every threshold t: clusters merge while
 their complete-linkage distance (maximum pairwise member distance) stays
-strictly below t. Merge ties go to the lexicographically smallest pair of
-cluster indices; silhouette ties go to the larger threshold, whatever the
-input order. One representative is projected out of every cluster, either
-the best ranked member or the medoid.
+strictly below t. A merge step names the matrix rows of the two clusters'
+first members, smaller row first; merge ties go to the lexicographically
+smallest pair of rows. A cluster is a tuple of model ids in matrix order,
+and a partition lists its clusters by first member, so clusters, reprs and
+pickles follow the matrix alone. Silhouette ties go to the larger
+threshold, whatever the input order. One representative is projected out
+of every cluster, either the best ranked member or the medoid.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from .petri import Frozen
 
 DEFAULT_THRESHOLDS: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
-ClusterSet = tuple[frozenset[str], ...]
+ClusterSet = tuple[tuple[str, ...], ...]
+RowGroups = tuple[tuple[int, ...], ...]  # a partition as matrix rows
 
 
 class ClusteringParams(Frozen):
@@ -37,8 +41,9 @@ class ClusteringParams(Frozen):
 
 
 class MergeStep(NamedTuple):
-    first: frozenset[str]
-    second: frozenset[str]
+    """The rows of the two merged clusters' first members, first < second."""
+    first: int
+    second: int
     distance: float
 
 
@@ -46,15 +51,14 @@ Dendrogram = tuple[MergeStep, ...]
 
 
 def check_partition(clusters: ClusterSet, ids: Sequence[str]) -> None:
-    """Raise unless the clusters are non-empty, disjoint, and cover the ids."""
-    seen: set[str] = set()
-    for cluster in clusters:
-        if not cluster:
-            raise ValueError("empty cluster")
-        if cluster & seen:
-            raise ValueError(f"overlapping clusters: {sorted(cluster & seen)}")
-        seen |= cluster
-    if seen != set(ids):
+    """Raise unless the clusters are non-empty, disjoint, and cover the ids
+    with no member repeated."""
+    if not all(clusters):
+        raise ValueError("empty cluster")
+    members = [model_id for cluster in clusters for model_id in cluster]
+    if len(set(members)) != len(members):
+        raise ValueError("a model appears more than once in the clusters")
+    if set(members) != set(ids):
         raise ValueError("clusters do not cover the model set exactly")
 
 
@@ -85,13 +89,12 @@ def _merges(matrix: DistanceMatrix, below: float) -> Dendrogram:
         row[k] = inf
     best = [_row_minimum(row, k) for k, row in enumerate(dist)]
     live = list(range(n))
-    members = [frozenset((model_id,)) for model_id in matrix.ids]
     steps: list[MergeStep] = []
     for _ in range(n - 1):
         smallest, i, j = min(best)
         if not smallest < below:
             break
-        steps.append(MergeStep(first=members[i], second=members[j], distance=smallest))
+        steps.append(MergeStep(i, j, smallest))
         merged = [x if x >= y else y for x, y in zip(dist[i], dist[j])]
         merged[i] = merged[j] = inf
         dist[i] = merged
@@ -103,17 +106,28 @@ def _merges(matrix: DistanceMatrix, below: float) -> Dendrogram:
             cached, _, col = best[k]
             if k == i or col == j or (col == i and merged[k] > cached):
                 best[k] = _row_minimum(row, k)
-        members[i] |= members[j]
     return tuple(steps)
 
 
-def _clusters(matrix: DistanceMatrix, steps: Iterable[MergeStep]) -> ClusterSet:
-    """Replay merges; clusters are ordered by their first member in matrix order."""
-    cluster_of = {model_id: frozenset((model_id,)) for model_id in matrix.ids}
+def _clusters(n: int, steps: Iterable[MergeStep]) -> RowGroups:
+    """Replay merges over n rows: groups in row order, ordered by first row.
+
+    A step points its second row at its first, which is smaller, so walking
+    the rows upward finds every pointer's target already resolved to its
+    group's first row.
+    """
+    first = list(range(n))
     for step in steps:
-        merged = step.first | step.second
-        cluster_of.update(dict.fromkeys(merged, merged))
-    return tuple(dict.fromkeys(cluster_of.values()))
+        first[step.second] = step.first
+    groups: dict[int, list[int]] = {}
+    for k in range(n):
+        first[k] = first[first[k]]
+        groups.setdefault(first[k], []).append(k)
+    return tuple(map(tuple, groups.values()))
+
+
+def _named(ids: Sequence[str], groups: RowGroups) -> ClusterSet:
+    return tuple(tuple(map(ids.__getitem__, group)) for group in groups)
 
 
 def agglomerate(
@@ -121,16 +135,16 @@ def agglomerate(
 ) -> tuple[ClusterSet, Dendrogram]:
     """Merge closest clusters while the complete-linkage distance < threshold."""
     steps = _merges(matrix, params.threshold)
-    return _clusters(matrix, steps), steps
+    return _named(matrix.ids, _clusters(len(matrix), steps)), steps
 
 
 def silhouette(matrix: DistanceMatrix, clusters: ClusterSet) -> float | None:
     """Mean silhouette width of a partition of the matrix ids; None when undefined (one cluster, or one per id)."""
     check_partition(clusters, matrix.ids)
-    return _silhouettes(matrix, (clusters,))[0]
+    return _silhouettes(matrix, (tuple(tuple(sorted(map(matrix.index, c))) for c in clusters),))[0]
 
 
-def _member_sums(rows: Sequence[Sequence[float]], group: list[int]) -> Sequence[float]:
+def _member_sums(rows: Sequence[Sequence[float]], group: tuple[int, ...]) -> Sequence[float]:
     """The group's rows added elementwise, left to right in member order."""
     total = rows[group[0]]
     for q in group[1:]:
@@ -138,8 +152,9 @@ def _member_sums(rows: Sequence[Sequence[float]], group: list[int]) -> Sequence[
     return total
 
 
-def _silhouettes(matrix: DistanceMatrix, partitions: Sequence[ClusterSet]) -> list[float | None]:
-    """``silhouette`` of each partition, which the caller has checked or built.
+def _silhouettes(matrix: DistanceMatrix, partitions: Sequence[RowGroups]) -> list[float | None]:
+    """``silhouette`` of each partition of the rows, in row order, which the
+    caller has checked or built.
 
     Per cluster, the distances from every point to its members are added
     left to right in member order. The matrix is symmetric, so they are the
@@ -149,22 +164,18 @@ def _silhouettes(matrix: DistanceMatrix, partitions: Sequence[ClusterSet]) -> li
     """
     n = len(matrix)
     rows = list(matrix.values)
-    sums: dict[frozenset[str], Sequence[float]] = {}
+    sums: dict[tuple[int, ...], Sequence[float]] = {}
     widths: list[float | None] = []
-    for clusters in partitions:
-        k = len(clusters)
+    for groups in partitions:
+        k = len(groups)
         if k <= 1 or k >= n:
             widths.append(None)
             continue
-        groups = [sorted(map(matrix.index, cluster)) for cluster in clusters]
         own = [0] * n
         for g, group in enumerate(groups):
             for p in group:
                 own[p] = g
-        sums = {
-            cluster: sums[cluster] if cluster in sums else _member_sums(rows, group)
-            for cluster, group in zip(clusters, groups)
-        }
+        sums = {group: sums[group] if group in sums else _member_sums(rows, group) for group in groups}
         totals = list(sums.values())
         # means[g][p], with inf where g is p's own cluster
         means = []
@@ -218,14 +229,15 @@ def sweep(
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
     steps = _merges(matrix, max(ClusteringParams(threshold=t).threshold for t in thresholds))
-    partitions = [_clusters(matrix, takewhile(lambda s: s.distance < t, steps)) for t in thresholds]
-    outcomes = list(map(ThresholdOutcome, thresholds, partitions, _silhouettes(matrix, partitions)))
+    partitions = [_clusters(len(matrix), takewhile(lambda s: s.distance < t, steps)) for t in thresholds]
+    named = [_named(matrix.ids, groups) for groups in partitions]
+    outcomes = list(map(ThresholdOutcome, thresholds, named, _silhouettes(matrix, partitions)))
     scored = [o for o in outcomes if o.silhouette is not None]
     best = max(scored, key=lambda o: (o.silhouette, o.threshold), default=None)
     return SweepResult(outcomes=tuple(outcomes), best=best)
 
 
-def repr_rank(cluster: frozenset[str], ranked: RankedModelSet) -> str:
+def repr_rank(cluster: Sequence[str], ranked: RankedModelSet) -> str:
     """The best-ranked (numerically smallest rank) member."""
     if not cluster:
         raise ValueError("empty cluster")
@@ -233,7 +245,7 @@ def repr_rank(cluster: frozenset[str], ranked: RankedModelSet) -> str:
 
 
 def repr_dist(
-    cluster: frozenset[str],
+    cluster: Sequence[str],
     matrix: DistanceMatrix,
     ranked: RankedModelSet | None = None,
 ) -> str:

@@ -273,7 +273,8 @@ def oracle_mean_pairwise(ids, matrix) -> float:
 
 
 def oracle_complete_linkage(matrix, threshold: float):
-    """Clusters (ordered by smallest member index) and merge distances.
+    """Clusters (tuples of ids in row order, ordered by smallest member
+    index) and merge distances.
 
     Each step recomputes every cluster-pair distance as the maximum over the
     original member distances and merges the pair with the smallest
@@ -296,7 +297,7 @@ def oracle_complete_linkage(matrix, threshold: float):
         first.extend(second)
         distances.append(float(distance))
     ordered = sorted(clusters, key=min)
-    return tuple(frozenset(matrix.ids[k] for k in c) for c in ordered), distances
+    return tuple(tuple(matrix.ids[k] for k in sorted(c)) for c in ordered), distances
 
 
 def oracle_silhouette(matrix, clusters) -> float | None:
@@ -332,21 +333,19 @@ def numpy_merges(matrix, below: float) -> tuple[MergeStep, ...]:
     n = len(matrix)
     dist = np.array(matrix.values, dtype=float)
     np.fill_diagonal(dist, np.inf)
-    members = [frozenset((model_id,)) for model_id in matrix.ids]
     steps = []
     for _ in range(n - 1):
         i, j = divmod(int(dist.argmin()), n)
         smallest = float(dist[i, j])
         if not smallest < below:
             break
-        steps.append(MergeStep(first=members[i], second=members[j], distance=smallest))
+        steps.append(MergeStep(first=i, second=j, distance=smallest))
         merged_row = np.maximum(dist[i, :], dist[j, :])
         dist[i, :] = merged_row
         dist[:, i] = merged_row
         dist[i, i] = np.inf
         dist[j, :] = np.inf
         dist[:, j] = np.inf
-        members[i] |= members[j]
     return tuple(steps)
 
 

@@ -143,17 +143,17 @@ def test_c3_clustering_correctness():
 
     three = matrix_of(["m1", "m2", "m3"], {(0, 1): 0.1, (0, 2): 0.9, (1, 2): 0.9})
     clusters, _ = agglomerate(three, ClusteringParams(threshold=0.5))
-    assert clusters == (frozenset({"m1", "m2"}), frozenset({"m3"}))
+    assert clusters == (("m1", "m2"), ("m3",))
 
     four = matrix_of(
         ["m1", "m2", "m3", "m4"],
         {(0, 1): 0.1, (2, 3): 0.2, (0, 2): 0.8, (0, 3): 0.8, (1, 2): 0.8, (1, 3): 0.8},
     )
     clusters, steps = agglomerate(four, ClusteringParams(threshold=0.5))
-    assert clusters == (frozenset({"m1", "m2"}), frozenset({"m3", "m4"}))
+    assert clusters == (("m1", "m2"), ("m3", "m4"))
     assert [s.distance for s in steps] == [0.1, 0.2]
     clusters, steps = agglomerate(four, ClusteringParams(threshold=0.9))
-    assert clusters == (frozenset({"m1", "m2", "m3", "m4"}),)
+    assert clusters == (("m1", "m2", "m3", "m4"),)
     assert [s.distance for s in steps] == [0.1, 0.2, 0.8]
 
     rng = random.Random(3003)
@@ -169,7 +169,7 @@ def test_c3_clustering_correctness():
         ["m1", "m2", "m3", "m4"],
         {(0, 1): 0.1, (2, 3): 0.1, (0, 2): 0.9, (0, 3): 0.9, (1, 2): 0.9, (1, 3): 0.9},
     )
-    score = silhouette(two_pairs, (frozenset({"m1", "m2"}), frozenset({"m3", "m4"})))
+    score = silhouette(two_pairs, (("m1", "m2"), ("m3", "m4")))
     assert score == pytest.approx((0.9 - 0.1) / 0.9, abs=1e-12)
 
     _passed("clustering correctness (fixtures, monotone counts, silhouette)")

@@ -411,6 +411,27 @@ class TestErrors:
         assert capsys.readouterr().err.splitlines() == expected
 
     @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            (["--workers", "0"], 1, "must be at least 1"),
+            (["--workers", "0", "--bound", "0", "--ged-budget", "-5"], 1, "must be at least 1"),
+            (["--lang-cap", "0"], 1, "must be at least 1"),
+            (["--bound", "3", "--ged-budget", "100"], 0, "notice: --ged-budget has no effect for measure efg; ignored"),
+        ],
+        ids=["workers", "three-bad", "lang-cap", "notice"],
+    )
+    def test_cached_matrix_checks_the_matrix_flags_as_a_fresh_run_does(self, tmp_path, capsys, flags, code, message):
+        manifest = identical_manifest(tmp_path)
+        assert main(["matrix", "--manifest", str(manifest), "--measure", "efg", "--out", str(tmp_path / "m")]) == 0
+        capsys.readouterr()
+        runs = []
+        for cached in ([], ["--matrix", str(tmp_path / "m" / "matrix_efg.csv")]):
+            argv = ["cluster", "--manifest", str(manifest), "--measure", "efg", *flags, *cached]
+            runs.append((main([*argv, "--out", str(tmp_path / "o")]), capsys.readouterr().err))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code and message in runs[0][1]
+
+    @pytest.mark.parametrize(
         "top, entry, field",
         [({"bound": True}, {}, "bound"), ({}, {"rank": True}, "rank"), ({}, {"id": None}, "id")],
         ids=["bound-true", "rank-true", "id-null"],

@@ -67,17 +67,17 @@ def random_matrix(rng, n) -> DistanceMatrix:
 class TestAgglomerate:
     def test_three_point_fixture(self):
         clusters, steps = agglomerate(three_point(), ClusteringParams(threshold=0.5))
-        assert clusters == (frozenset({"m1", "m2"}), frozenset({"m3"}))
+        assert clusters == (("m1", "m2"), ("m3",))
         assert [s.distance for s in steps] == [0.1]
 
     def test_four_point_fixture(self):
         clusters, steps = agglomerate(four_point(), ClusteringParams(threshold=0.5))
-        assert clusters == (frozenset({"m1", "m2"}), frozenset({"m3", "m4"}))
+        assert clusters == (("m1", "m2"), ("m3", "m4"))
         assert [s.distance for s in steps] == [0.1, 0.2]
 
     def test_four_point_merges_fully_at_high_threshold(self):
         clusters, steps = agglomerate(four_point(), ClusteringParams(threshold=0.9))
-        assert clusters == (frozenset({"m1", "m2", "m3", "m4"}),)
+        assert clusters == (("m1", "m2", "m3", "m4"),)
         assert [s.distance for s in steps] == [0.1, 0.2, 0.8]
 
     def test_zero_threshold_keeps_singletons(self):
@@ -86,7 +86,7 @@ class TestAgglomerate:
 
     def test_threshold_one_merges_everything_below_one(self):
         clusters, _ = agglomerate(three_point(), ClusteringParams(threshold=1.0))
-        assert clusters == (frozenset({"m1", "m2", "m3"}),)
+        assert clusters == (("m1", "m2", "m3"),)
 
     def test_merge_tie_breaks_toward_smallest_pair(self):
         matrix = matrix_of(
@@ -94,7 +94,7 @@ class TestAgglomerate:
             {(0, 1): 0.1, (2, 3): 0.1, (0, 2): 0.9, (0, 3): 0.9, (1, 2): 0.9, (1, 3): 0.9},
         )
         _, steps = agglomerate(matrix, ClusteringParams(threshold=0.5))
-        assert steps[0].first == frozenset({"a"}) and steps[0].second == frozenset({"b"})
+        assert (steps[0].first, steps[0].second) == (0, 1)  # the rows of a and b
 
     def test_output_is_a_partition_and_merges_monotone(self):
         rng = random.Random(71)
@@ -120,34 +120,68 @@ class TestAgglomerate:
 
 class TestSilhouette:
     def test_two_pair_fixture_matches_manual_arithmetic(self):
-        clusters = (frozenset({"m1", "m2"}), frozenset({"m3", "m4"}))
+        clusters = (("m1", "m2"), ("m3", "m4"))
         score = silhouette(two_pairs(), clusters)
         assert score == pytest.approx((0.9 - 0.1) / 0.9, abs=1e-12)
 
     def test_all_singletons_is_undefined(self):
-        clusters = tuple(frozenset({i}) for i in ["m1", "m2", "m3", "m4"])
+        clusters = tuple((i,) for i in ["m1", "m2", "m3", "m4"])
         assert silhouette(two_pairs(), clusters) is None
 
     def test_single_cluster_is_undefined(self):
-        assert silhouette(two_pairs(), (frozenset({"m1", "m2", "m3", "m4"}),)) is None
+        assert silhouette(two_pairs(), (("m1", "m2", "m3", "m4"),)) is None
 
     def test_perfect_separation_scores_one(self):
         matrix = matrix_of(
             ["m1", "m2", "m3", "m4"],
             {(0, 1): 0.0, (2, 3): 0.0, (0, 2): 0.8, (0, 3): 0.8, (1, 2): 0.8, (1, 3): 0.8},
         )
-        clusters = (frozenset({"m1", "m2"}), frozenset({"m3", "m4"}))
+        clusters = (("m1", "m2"), ("m3", "m4"))
         assert silhouette(matrix, clusters) == 1.0
 
     def test_singleton_member_scores_zero(self):
-        clusters = (frozenset({"m1", "m2"}), frozenset({"m3"}))
+        clusters = (("m1", "m2"), ("m3",))
         score = silhouette(three_point(), clusters)
         # m1, m2: a=0.1, b=0.9 -> 8/9 each; m3 singleton -> 0
         assert score == pytest.approx((2 * (0.8 / 0.9)) / 3, abs=1e-12)
 
     def test_rejects_non_partition(self):
         with pytest.raises(ValueError):
-            silhouette(three_point(), (frozenset({"m1"}),))
+            silhouette(three_point(), (("m1",),))
+
+    def test_shuffled_members_give_the_sweep_silhouette_bit_for_bit(self):
+        rng = random.Random(109)
+        for _ in range(40):
+            matrix = random_matrix(rng, rng.randint(3, 20))
+            for outcome in sweep(matrix).outcomes:
+                shuffled = [tuple(rng.sample(cluster, len(cluster))) for cluster in outcome.clusters]
+                rng.shuffle(shuffled)
+                got = silhouette(matrix, tuple(shuffled))
+                assert (got is None and outcome.silhouette is None) or got.hex() == outcome.silhouette.hex()
+
+
+class TestCheckPartition:
+    IDS = ("m1", "m2", "m3")
+
+    def test_accepts_a_partition_in_any_order(self):
+        check_partition((("m3", "m1"), ("m2",)), self.IDS)
+
+    @pytest.mark.parametrize(
+        "clusters, message",
+        [
+            ((("m1", "m1"), ("m2", "m3")), "more than once"),
+            ((("m1", "m2"), ("m2", "m3")), "more than once"),
+            ((("m1", "m2"), ()), "empty cluster"),
+            ((("m1", "m2"),), "do not cover"),
+            ((("m1", "m2"), ("m3", "m4")), "do not cover"),
+        ],
+        ids=["repeated-inside", "shared", "empty", "missing", "unknown"],
+    )
+    def test_rejects(self, clusters, message):
+        with pytest.raises(ValueError, match=message):
+            check_partition(clusters, self.IDS)
+        with pytest.raises(ValueError, match=message):
+            silhouette(three_point(), clusters)
 
 
 class TestSweep:
@@ -174,7 +208,7 @@ class TestSweep:
         matrix = matrix_of(["m1", "m2", "m3"], {})
         result = sweep(matrix)
         assert result.all_degenerate
-        assert result.selected.clusters == (frozenset({"m1", "m2", "m3"}),)
+        assert result.selected.clusters == (("m1", "m2", "m3"),)
 
     def test_ties_resolve_toward_larger_threshold(self):
         from lpmgroup import DEFAULT_THRESHOLDS
@@ -250,7 +284,7 @@ class TestRepresentatives:
             models=(chain_lpm("m3", ["a"]), chain_lpm("m9", ["a"])),
             ranks={"m3": 7, "m9": 2},
         )
-        assert repr_rank(frozenset({"m3", "m9"}), ranked) == "m9"
+        assert repr_rank(("m3", "m9"), ranked) == "m9"
 
     @pytest.mark.parametrize("bad", [True, 0, -1, 1.0, "1"])
     def test_ranks_must_be_positive_ints_and_not_bools(self, bad):
@@ -260,26 +294,26 @@ class TestRepresentatives:
 
     def test_repr_rank_singleton(self):
         ranked = self.rank_fixture()
-        assert repr_rank(frozenset({"m1"}), ranked) == "m1"
+        assert repr_rank(("m1",), ranked) == "m1"
 
     def test_repr_rank_equals_scan_minimum(self):
         ranked = self.rank_fixture()
-        cluster = frozenset({"m5", "m2", "m8", "m3", "m7"})
+        cluster = ("m5", "m2", "m8", "m3", "m7")
         assert repr_rank(cluster, ranked) == min(cluster, key=ranked.rank)
 
     def test_repr_dist_singleton(self):
-        assert repr_dist(frozenset({"m1"}), three_point()) == "m1"
+        assert repr_dist(("m1",), three_point()) == "m1"
 
     def test_repr_dist_hand_fixture(self):
         matrix = matrix_of(["x", "y", "z"], {(0, 1): 0.1, (0, 2): 0.1, (1, 2): 0.5})
-        assert repr_dist(frozenset({"x", "y", "z"}), matrix) == "x"
+        assert repr_dist(("x", "y", "z"), matrix) == "x"
 
     def test_repr_dist_matches_brute_force_medoid(self):
         rng = random.Random(83)
         for _ in range(20):
             n = rng.randint(2, 10)
             matrix = random_matrix(rng, n)
-            cluster = frozenset(matrix.ids)
+            cluster = matrix.ids
             assert repr_dist(cluster, matrix) == oracle_medoid(cluster, matrix)
 
     def test_one_representative_per_cluster(self):
@@ -287,7 +321,7 @@ class TestRepresentatives:
         ids = [f"m{i}" for i in range(1, 10)]
         matrix = random_matrix(random.Random(89), 9)
         matrix = DistanceMatrix(ids=tuple(ids), values=matrix.values, measure="rnd")
-        clusters = (frozenset(ids[:3]), frozenset(ids[3:5]), frozenset(ids[5:]))
+        clusters = (tuple(ids[:3]), tuple(ids[3:5]), tuple(ids[5:]))
         for strategy in ("rank", "dist"):
             reps = representatives(clusters, strategy, ranked, matrix)
             assert len(reps) == len(clusters)
@@ -300,7 +334,7 @@ class TestRepresentatives:
         matrix = DistanceMatrix(
             ids=tuple(ids), values=random_matrix(random.Random(97), 9).values, measure="rnd"
         )
-        clusters = tuple(frozenset({i}) for i in ids)
+        clusters = tuple((i,) for i in ids)
         assert set(representatives(clusters, "dist", ranked, matrix)) == set(ids)
 
     def test_planted_fixture_medoids(self):
@@ -325,6 +359,24 @@ def drawn_matrices(draw) -> DistanceMatrix:
         for j in range(i + 1, n):
             values[i][j] = values[j][i] = draw(cell)
     return DistanceMatrix(ids=tuple(f"m{i}" for i in range(n)), values=values, measure="drawn")
+
+
+class TestClusterOrder:
+    @settings(max_examples=300, database=None, derandomize=True, deadline=None)
+    @given(data=st.data(), threshold=st.sampled_from((0.0,) + DEFAULT_THRESHOLDS))
+    def test_clusters_list_rows_in_order_and_equal_the_oracle(self, data, threshold):
+        # ids drawn in a shuffled order, so that row order is not name order
+        drawn = data.draw(drawn_matrices())
+        ids = tuple(data.draw(st.permutations(drawn.ids)))
+        matrix = DistanceMatrix(ids=ids, values=drawn.values, measure=drawn.measure)
+        row = dict(zip(ids, range(len(ids))))
+        clusters, steps = agglomerate(matrix, ClusteringParams(threshold=threshold))
+        assert sweep(matrix, (threshold,)).outcomes[0].clusters == clusters
+        assert clusters == oracle_complete_linkage(matrix, threshold)[0]
+        rows = [[row[model_id] for model_id in cluster] for cluster in clusters]
+        assert all(members == sorted(members) for members in rows)
+        assert [members[0] for members in rows] == sorted(members[0] for members in rows)
+        assert all(step.first < step.second for step in steps)
 
 
 class TestNumpyOracle:

@@ -120,7 +120,7 @@ class TestClusterExport:
         ids = [f"m{i}" for i in range(1, 16)]
         models = tuple(chain_lpm(i, ["a"]) for i in ids)
         ranked = RankedModelSet(models=models, ranks={i: int(i[1:]) for i in ids})
-        clusters = (frozenset(ids[:5]), frozenset(ids[5:10]), frozenset(ids[10:]))
+        clusters = (tuple(ids[:5]), tuple(ids[5:10]), tuple(ids[10:]))
         reps = ("m1", "m6", "m11")
         path = tmp_path / "clusters.csv"
         export_clusters(clusters, reps, ranked, path)
@@ -136,15 +136,16 @@ class TestClusterExport:
         ids = [f"m{i}" for i in range(1, 7)]
         models = tuple(chain_lpm(i, ["a"]) for i in ids)
         ranked = RankedModelSet(models=models, ranks={i: int(i[1:]) for i in ids})
-        clusters = (frozenset(ids[:2]), frozenset(ids[2:]))
+        clusters = (tuple(ids[:2]), tuple(ids[2:]))
         path = tmp_path / "clusters.csv"
         export_clusters(clusters, ("m1", "m3"), ranked, path)
         with path.open(newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
-        regrouped: dict[str, set[str]] = {}
+        regrouped: dict[str, list[str]] = {}
         for row in rows:
-            regrouped.setdefault(row["cluster_id"], set()).add(row["model_id"])
-        check_partition(tuple(frozenset(v) for v in regrouped.values()), ids)
+            regrouped.setdefault(row["cluster_id"], []).append(row["model_id"])
+        check_partition(tuple(map(tuple, regrouped.values())), ids)
+        assert tuple(map(tuple, regrouped.values())) == clusters
 
 
 class TestReportExport:

@@ -70,7 +70,7 @@ def test_compensated_sum_moves_no_pinned_bit(monkeypatch):
 
     def outputs():
         silhouettes = [o.silhouette.hex() for o in sweep(matrix).outcomes if o.silhouette is not None]
-        return silhouettes, repr_dist(frozenset("abcd"), medoid_fixture), list(ged_bounds())
+        return silhouettes, repr_dist(tuple("abcd"), medoid_fixture), list(ged_bounds())
 
     plain = outputs()
     assert plain[1] == "b"
