@@ -230,8 +230,11 @@ def _cmd_cluster(args) -> int:
             matrix = load_matrix(args.matrix, measure=measure.value)
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot load matrix: {exc}") from None
-        if set(matrix.ids) != {m.id for m in loaded.ranked.models}:
+        order = tuple(m.id for m in loaded.ranked.models)
+        if set(matrix.ids) != set(order):
             raise CliError("cached matrix ids do not match the manifest")
+        if matrix.ids != order:  # cluster in the fresh run's row order, whatever the CSV's
+            matrix = matrix.submatrix(order)
     else:
         matrix = _compute_matrix(loaded, measure, params)
         export_matrix(matrix, out / f"matrix_{measure.value}.csv")

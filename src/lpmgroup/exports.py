@@ -8,7 +8,7 @@ order so repeated runs diff clean.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -83,28 +83,33 @@ def export_matrix(matrix: DistanceMatrix, path: Path | str) -> None:
 
 
 def load_matrix(path: Path | str, measure: str = "loaded") -> DistanceMatrix:
-    """Read a matrix CSV produced by export_matrix, with its approximation
-    flags when the sibling flags file exists."""
+    """Read a matrix CSV produced by export_matrix, exactly symmetric with a zero
+    diagonal, with its approximation flags when the sibling flags file exists."""
     import csv
 
     from .matrix import DistanceMatrix
 
     path = Path(path)
+    square = []
     with path.open(newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or rows[0][:1] != ["id"]:
-        raise ValueError(f"{path} is not a distance matrix CSV")
-    ids = tuple(rows[0][1:])
-    if len(rows) != len(ids) + 1:
-        raise ValueError(f"{path}: expected {len(ids)} data rows")
-    values = []
-    for model_id, row in zip(ids, rows[1:]):
-        if row[:1] != [model_id]:
-            raise ValueError(f"{path}: row order does not match the header")
-        if len(row) != len(ids) + 1:
-            raise ValueError(f"{path}: row {model_id!r} holds {len(row) - 1} of {len(ids)} distances")
-        values.append([float(cell) for cell in row[1:]])
-    approx = [[False] * len(ids) for _ in ids]
+        rows = csv.reader(handle)  # read row by row: n² number strings at once would outweigh the matrix
+        header = next(rows, [])
+        if header[:1] != ["id"]:
+            raise ValueError(f"{path} is not a distance matrix CSV")
+        ids = tuple(header[1:])
+        n = len(ids)
+        for model_id, row in zip(ids, rows):
+            if row[:1] != [model_id]:
+                raise ValueError(f"{path}: row order does not match the header")
+            if len(row) != n + 1:
+                raise ValueError(f"{path}: row {model_id!r} holds {len(row) - 1} of {n} distances")
+            try:
+                square.append(tuple(map(float, row[1:])))
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {model_id!r}: {exc}") from None
+        if len(square) != n or next(rows, None) is not None:
+            raise ValueError(f"{path}: expected {n} data rows")
+    flagged = set()  # (i, j) with i < j
     flags = _flags_path(path)
     if flags.exists():
         with flags.open(newline="", encoding="utf-8") as handle:
@@ -115,9 +120,14 @@ def load_matrix(path: Path | str, measure: str = "loaded") -> DistanceMatrix:
         for row in flag_rows[1:]:
             if len(row) != 2 or row[0] == row[1] or not set(row) <= index.keys():
                 raise ValueError(f"{flags}: bad flag row {row!r}")
-            i, j = index[row[0]], index[row[1]]
-            approx[i][j] = approx[j][i] = True
-    return DistanceMatrix(ids=ids, values=values, measure=measure, approx=approx)
+            flagged.add(tuple(sorted(map(index.get, row))))
+    upper = chain.from_iterable(row[i + 1:] for i, row in enumerate(square))  # row by row
+    matrix = DistanceMatrix(ids, upper, measure, [p in flagged for p in combinations(range(n), 2)] if flagged else None)
+    if matrix.values != tuple(square):
+        if any(row[k] for k, row in enumerate(square)):
+            raise ValueError("self-distances must be zero")
+        raise ValueError("distance matrix must be symmetric")
+    return matrix
 
 
 def export_clusters(

@@ -4,7 +4,8 @@
 ``featurize`` step run once per model, a ``compare`` step run per pair, and
 the ``MatrixParams`` fields the two read. ``similarity``/``distance`` (one
 pair, raw), ``distance_matrix`` (all pairs, at the CSV precision) and the
-CLI's parameter notices all read this table.
+CLI's parameter notices all read this table. A ``DistanceMatrix`` mirrors its
+condensed upper triangle; ``exports.load_matrix`` checks a square from a file.
 
 ``distance_matrix`` splits the pairs by stride over ``workers`` processes,
 the calling one included, at most one per CPU this process may run on. The
@@ -19,13 +20,12 @@ Matrices are identical regardless of worker count or scheduling.
 from __future__ import annotations
 
 import marshal
-import math
 import os
 from functools import reduce
 from importlib import import_module
-from itertools import chain, combinations, compress, islice
+from itertools import chain, combinations, islice
 from operator import add
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exports import MATRIX_DECIMALS
 from .measures import (
@@ -86,19 +86,26 @@ class Table(tuple):
         return reduce(add, chain.from_iterable(self), 0)
 
 
-def _table(rows, convert) -> Table:
-    try:
-        return Table(tuple(map(convert, row)) for row in rows)
-    except TypeError:
-        raise ValueError("matrix shape does not match the id list") from None
+def _mirrored(cells: Iterable, n: int, zero) -> Iterable[tuple]:
+    """Rows of the symmetric ``n`` x ``n`` table with ``zero`` on the diagonal and, row by row, ``cells`` above it."""
+    columns, cells = [[] for _ in range(n)], iter(cells)  # column j collects the cells (k, j) with k < j
+    for i, left in enumerate(columns):
+        right = tuple(islice(cells, n - 1 - i))
+        for column, cell in zip(columns[i + 1:], right):
+            column.append(cell)
+        yield (*left, zero, *right)
+
+
+def _upper(table: Table, rows: Sequence[int]) -> list:
+    return [table[i][j] for i, j in combinations(rows, 2)]
 
 
 class DistanceMatrix(Frozen):
-    """Symmetric pairwise distances in [0, 1] with per-pair approximation flags.
+    """Pairwise distances in [0, 1] with per-pair approximation flags.
 
-    ``values`` and ``approx`` are ``Table``s; the constructor takes any
-    nested sequence of numbers, a numpy array included. Matrices compare by
-    identity.
+    The constructor takes one distance (and flag) per pair of rows i < j in
+    ``combinations(range(n), 2)`` order, as scipy's ``squareform``; ``values`` and
+    ``approx`` mirror it into square ``Table``s. Matrices compare by identity.
     """
 
     __slots__ = ("ids", "values", "measure", "approx", "_rows")
@@ -110,29 +117,20 @@ class DistanceMatrix(Frozen):
     approx: Table
     _rows: dict[str, int]  # id -> row
 
-    def __init__(self, ids: Sequence[str], values: Sequence[Sequence[float]], measure: str,
-                 approx: Sequence[Sequence[bool]] | None = None):
-        n = len(ids)
+    def __init__(self, ids: Sequence[str], distances: Iterable[float], measure: str,
+                 flags: Iterable[bool] | None = None):
         ids = tuple(ids)
+        n = len(ids)
         if len(set(ids)) != n:
             raise ValueError("model ids must be unique")
-        values = _table(values, float)
-        approx = Table((False,) * n for _ in range(n)) if approx is None else _table(approx, bool)
-        self._set(ids=ids, values=values, measure=measure, approx=approx, _rows={m: k for k, m in enumerate(ids)})
-        if len(values) != n or len(approx) != n or any(len(row) != n for row in chain(values, approx)):
-            raise ValueError("matrix shape does not match the id list")
-        if n and (
-            min(map(min, values)) < 0.0
-            or max(map(max, values)) > 1.0
-            or any(map(math.isnan, chain.from_iterable(values)))
-        ):
+        distances = tuple(map(float, distances))
+        flags = (False,) * len(distances) if flags is None else tuple(map(bool, flags))
+        if len(distances) != n * (n - 1) // 2 or len(flags) != len(distances):
+            raise ValueError(f"{n} ids need {n * (n - 1) // 2} distances and flags, one per pair")
+        if not all(0.0 <= x <= 1.0 for x in distances):
             raise ValueError("distances must lie in [0, 1]")
-        if values != tuple(zip(*values)):
-            raise ValueError("distance matrix must be symmetric")
-        if any(i == j or not approx[j][i] for i, row in enumerate(approx) for j in compress(range(n), row)):
-            raise ValueError("approximation flags must be symmetric and off the diagonal")
-        if any(row[k] != 0.0 for k, row in enumerate(values)):
-            raise ValueError("self-distances must be zero")
+        self._set(ids=ids, values=Table(_mirrored(distances, n, 0.0)), measure=measure,
+                  approx=Table(_mirrored(flags, n, False)), _rows={m: k for k, m in enumerate(ids)})
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -147,23 +145,15 @@ class DistanceMatrix(Frozen):
         return self.values[self.index(id_a)][self.index(id_b)]
 
     def submatrix(self, ids: Sequence[str]) -> "DistanceMatrix":
-        idx = [self.index(i) for i in ids]
-
-        def pick(table: Table) -> Table:
-            return Table(tuple(map(row.__getitem__, idx)) for row in map(table.__getitem__, idx))
-
-        return DistanceMatrix(
-            ids=tuple(ids), values=pick(self.values), measure=self.measure, approx=pick(self.approx)
-        )
+        """The rows and columns of ``ids``, in that order."""
+        rows = [self.index(i) for i in ids]
+        return DistanceMatrix(ids, _upper(self.values, rows), self.measure, _upper(self.approx, rows))
 
     def rounded(self) -> "DistanceMatrix":
         """Copy at the CSV precision, for hand-built matrices: ``distance_matrix`` gives that precision already."""
-        return DistanceMatrix(
-            ids=self.ids,
-            values=[list(map(_quantized, row)) for row in self.values],
-            measure=self.measure,
-            approx=self.approx,
-        )
+        rows = range(len(self))
+        return DistanceMatrix(self.ids, map(_quantized, _upper(self.values, rows)), self.measure,
+                              _upper(self.approx, rows))
 
 
 class MeasureSpec(NamedTuple):
@@ -313,13 +303,16 @@ def _received(pid: int, read_end: int) -> tuple[list[float], list[bool]]:
     return payload
 
 
-def _stride_results(compare, features, params: MatrixParams, procs: int) -> list[tuple[list[float], list[bool]]]:
-    """``_stride`` of strides 0 to ``procs`` - 1, in order; strides after the first run in forked children.
+def _condensed(compare, features, params: MatrixParams) -> tuple[list[float], list[bool]]:
+    """Distances and flags of every pair in ``combinations`` order; ``_stride`` k > 0 runs in a forked child.
 
     On any failure the parent first closes the read ends it still holds, so
     that a child blocked on a full pipe gets EPIPE, then reaps every child
     and raises; no partial result is returned.
     """
+    pairs = len(features) * (len(features) - 1) // 2
+    procs = min(params.workers, _usable_cpus(), pairs) if hasattr(os, "fork") else 1
+    distances, flags = [0.0] * pairs, [False] * pairs
     children: list[tuple[int, int]] = []  # (pid, read end), not yet reaped
     try:
         for k in range(1, procs):
@@ -334,10 +327,10 @@ def _stride_results(compare, features, params: MatrixParams, procs: int) -> list
                 _child(compare, features, params, k, procs, write_end, [read_end, *(fd for _, fd in children)])
             os.close(write_end)
             children.append((pid, read_end))
-        results = [_stride(compare, features, params, 0, procs)]
-        while children:
-            results.append(_received(*children.pop(0)))
-        return results
+        distances[::procs], flags[::procs] = _stride(compare, features, params, 0, procs)
+        for k in range(1, procs):
+            distances[k::procs], flags[k::procs] = _received(*children.pop(0))
+        return distances, flags
     finally:
         for _, read_end in children:
             os.close(read_end)
@@ -362,12 +355,5 @@ def distance_matrix(
     if spec.loads:
         import_module(spec.loads, __package__)  # once here, not once per forked child
     features = [spec.featurize(m, params) for m in models]
-    n = len(models)
-    procs = min(params.workers, _usable_cpus(), n * (n - 1) // 2) if hasattr(os, "fork") else 1
-    values = [[0.0] * n for _ in range(n)]
-    approx = [[False] * n for _ in range(n)]
-    for k, (distances, flags) in enumerate(_stride_results(spec.compare, features, params, procs)):
-        for (i, j), value, flag in zip(islice(combinations(range(n), 2), k, None, procs), distances, flags):
-            values[i][j] = values[j][i] = value
-            approx[i][j] = approx[j][i] = flag
-    return DistanceMatrix(ids=ids, values=values, measure=measure.value, approx=approx)
+    distances, flags = _condensed(spec.compare, features, params)
+    return DistanceMatrix(ids, distances, measure.value, flags)

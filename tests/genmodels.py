@@ -1,10 +1,12 @@
-"""Seeded generators for valid local process models and planted fixtures."""
+"""Seeded generators for valid local process models, planted fixtures and
+fixture distance matrices."""
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
-from lpmgroup import LabeledPetriNet, LocalProcessModel, Marking, RankedModelSet, SILENT
+from lpmgroup import DistanceMatrix, LabeledPetriNet, LocalProcessModel, Marking, RankedModelSet, SILENT
 
 ACTIVITIES = ["A", "B", "C", "D", "E", "F", "G", "H"]
 
@@ -159,3 +161,29 @@ def planted_groups(
             ranks[model_id] = rank
             rank += 1
     return RankedModelSet(models=tuple(models), ranks=ranks)
+
+
+def random_matrix(rng: random.Random, n: int, decimals: int = 6, ids=None) -> DistanceMatrix:
+    """``n`` models (ids ``m0``, ``m1``, ... unless given) at distances
+    ``round(rng.random(), decimals)``, drawn pair by pair in row-major
+    upper-triangle order."""
+    ids = tuple(f"m{i}" for i in range(n)) if ids is None else ids
+    return DistanceMatrix(ids, [round(rng.random(), decimals) for _ in range(n * (n - 1) // 2)], "rnd")
+
+
+def matrix_of(ids, entries: dict[tuple[int, int], float], measure: str = "fixture") -> DistanceMatrix:
+    """The matrix whose distance at rows ``(i, j)``, ``i < j``, is ``entries[i, j]``, and 0 where not given."""
+    return DistanceMatrix(ids, [entries.get(pair, 0.0) for pair in combinations(range(len(ids)), 2)], measure)
+
+
+def square_matrix(ids, square, measure: str = "fixture", approx=None) -> DistanceMatrix:
+    """The matrix of a square fixture (nested sequences or a numpy array),
+    condensed by scipy's ``squareform``, which refuses a square that is not
+    exactly symmetric with a zero diagonal."""
+    import numpy as np
+    from scipy.spatial.distance import squareform
+
+    def condensed(table, dtype):
+        return squareform(np.asarray(table, dtype=dtype), force="tovector").tolist()
+
+    return DistanceMatrix(ids, condensed(square, float), measure, None if approx is None else condensed(approx, bool))

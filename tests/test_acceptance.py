@@ -13,12 +13,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from lpmgroup import (
     ClusteringParams,
-    DistanceMatrix,
     Measure,
     MatrixParams,
     agglomerate,
@@ -35,7 +33,7 @@ from lpmgroup import (
     sweep,
     write_pnml,
 )
-from genmodels import planted_groups, random_lpm
+from genmodels import matrix_of, planted_groups, random_lpm, random_matrix
 from oracles import (
     label_traces,
     oracle_assignment,
@@ -50,14 +48,6 @@ REPO = Path(__file__).resolve().parent.parent
 def _passed(name: str, elapsed: float | None = None) -> None:
     suffix = f" ({elapsed:.1f}s)" if elapsed is not None else ""
     print(f"\nACCEPTANCE PASS: {name}{suffix}")
-
-
-def _random_matrix(rng: random.Random, n: int) -> DistanceMatrix:
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = round(rng.random(), 6)
-    return DistanceMatrix(ids=tuple(f"m{i}" for i in range(n)), values=values, measure="rnd")
 
 
 def test_c1_measure_axioms():
@@ -134,13 +124,6 @@ def test_c3_clustering_correctness():
     """Hand-traced agglomeration fixtures, monotone cluster counts over the
     threshold grid, and the silhouette fixture at 1e-12."""
 
-    def matrix_of(ids, entries):
-        n = len(ids)
-        values = np.zeros((n, n))
-        for (i, j), d in entries.items():
-            values[i, j] = values[j, i] = d
-        return DistanceMatrix(ids=tuple(ids), values=values, measure="fixture")
-
     three = matrix_of(["m1", "m2", "m3"], {(0, 1): 0.1, (0, 2): 0.9, (1, 2): 0.9})
     clusters, _ = agglomerate(three, ClusteringParams(threshold=0.5))
     assert clusters == (("m1", "m2"), ("m3",))
@@ -158,7 +141,7 @@ def test_c3_clustering_correctness():
 
     rng = random.Random(3003)
     for _ in range(20):
-        matrix = _random_matrix(rng, rng.randint(4, 15))
+        matrix = random_matrix(rng, rng.randint(4, 15))
         counts = [
             len(agglomerate(matrix, ClusteringParams(threshold=round(0.1 * k, 1)))[0])
             for k in range(1, 11)

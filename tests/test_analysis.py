@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from lpmgroup import (
@@ -17,7 +16,7 @@ from lpmgroup import (
     reduction_curve,
     top_n,
 )
-from genmodels import chain_lpm, planted_groups
+from genmodels import chain_lpm, planted_groups, random_matrix
 from oracles import oracle_mean_pairwise
 
 
@@ -29,15 +28,6 @@ def small_ranked(n=5) -> RankedModelSet:
 def pipeline_matrix(ranked) -> DistanceMatrix:
     """The transition matrix as the CLI computes it, at the CSV precision."""
     return distance_matrix(ranked.models, Measure.TRANSITION)
-
-
-def fixture_matrix(ids, rng) -> DistanceMatrix:
-    n = len(ids)
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = round(rng.random(), 6)
-    return DistanceMatrix(ids=tuple(ids), values=values, measure="rnd")
 
 
 class TestTopN:
@@ -70,27 +60,25 @@ class TestMeanPairwiseDistance:
         assert mean_pairwise_distance(list(ranked.models), matrix) == 0.0
 
     def test_single_pair(self):
-        matrix = DistanceMatrix(
-            ids=("a", "b"), values=np.array([[0.0, 0.4], [0.4, 0.0]]), measure="x"
-        )
+        matrix = DistanceMatrix(("a", "b"), [0.4], "x")
         assert mean_pairwise_distance(["a", "b"], matrix) == 0.4
 
     def test_four_models_match_manual_enumeration(self):
         rng = random.Random(7)
-        matrix = fixture_matrix(["a", "b", "c", "d"], rng)
+        matrix = random_matrix(rng, 4, ids=["a", "b", "c", "d"])
         got = mean_pairwise_distance(["a", "b", "c", "d"], matrix)
         assert got == pytest.approx(oracle_mean_pairwise(["a", "b", "c", "d"], matrix), abs=1e-12)
 
     def test_permutation_invariant(self):
         rng = random.Random(11)
-        matrix = fixture_matrix(["a", "b", "c", "d", "e"], rng)
+        matrix = random_matrix(rng, 5, ids=["a", "b", "c", "d", "e"])
         assert mean_pairwise_distance(["a", "b", "c", "d", "e"], matrix) == mean_pairwise_distance(
             ["e", "c", "a", "d", "b"], matrix
         )
 
     def test_below_two_models_is_undefined(self):
         rng = random.Random(13)
-        matrix = fixture_matrix(["a", "b"], rng)
+        matrix = random_matrix(rng, 2, ids=["a", "b"])
         assert mean_pairwise_distance(["a"], matrix) is None
 
 

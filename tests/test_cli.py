@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import lpmgroup
 from lpmgroup import LocalProcessModel, Measure, write_pnml
 from lpmgroup.cli import main
-from genmodels import chain_lpm, planted_groups, self_loop_star, with_isolated_transition
+from genmodels import chain_lpm, planted_groups, random_lpm, self_loop_star, with_isolated_transition
 
 
 def write_manifest(tmp_path, models, extra=None, by_position=False):
@@ -195,6 +196,35 @@ class TestCluster:
         for name in ("clusters.csv", "sweep.json"):
             assert (tmp_path / "oneshot" / name).read_bytes() == (tmp_path / "cached" / name).read_bytes()
 
+    @pytest.mark.parametrize("measure", ["transition", "efg"])
+    def test_cached_matrix_in_reversed_row_order_equals_one_shot(self, tmp_path, measure):
+        # complete linkage breaks distance ties by row, so these models cluster
+        # differently in reversed row order unless the cached run puts the
+        # matrix in manifest order; the star's efg pairs are flagged, so the
+        # flags file is reversed too
+        rng = random.Random(3)
+        models = [random_lpm(rng, f"m{k}", max_transitions=3, max_places=2) for k in range(12)]
+        common = ["--manifest", str(write_manifest(tmp_path, [*models, self_loop_star(4)])),
+                  "--measure", measure, "--enum-cap", "50"]
+        assert main(["cluster", *common, "--out", str(tmp_path / "oneshot")]) == 0
+        def rows(path):  # these ids need no CSV quoting
+            return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+
+        def write(path, rows):
+            path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+
+        square = rows(tmp_path / "oneshot" / f"matrix_{measure}.csv")
+        write(tmp_path / "reversed.csv", [["id", *square[0][:0:-1]], *([r[0], *r[:0:-1]] for r in square[:0:-1])])
+        flags = tmp_path / "oneshot" / f"matrix_{measure}_approx.csv"
+        assert flags.exists() == (measure == "efg")
+        if flags.exists():
+            header, *pairs = rows(flags)
+            write(tmp_path / "reversed_approx.csv", [header, *(pair[::-1] for pair in pairs[::-1])])
+        cached = ["--matrix", str(tmp_path / "reversed.csv"), "--out", str(tmp_path / "cached")]
+        assert main(["cluster", *common, *cached]) == 0
+        for name in ("clusters.csv", "sweep.json"):
+            assert (tmp_path / "oneshot" / name).read_bytes() == (tmp_path / "cached" / name).read_bytes()
+
     def test_bound_ignored_notice_for_transition(self, tmp_path, capsys):
         manifest = identical_manifest(tmp_path)
         out = tmp_path / "out"
@@ -358,8 +388,11 @@ class TestErrors:
             ("id,m1,m2\nm1,0,0.5\nm2,0.5\n", "row 'm2' holds 1 of 2 distances"),
             ("id,m1,m2\nm1,0,nan\nm2,nan,0\n", "distances must lie in [0, 1]"),
             ("id,m1,m2\nm1,0,inf\nm2,inf,0\n", "distances must lie in [0, 1]"),
+            ("id,m1,m2\nm1,0,abc\nm2,abc,0\n", "cached.csv: row 'm1': could not convert string to float: 'abc'"),
+            ("id,m1,m2\nm1,0,0.5\nm2,nan,0\n", "distance matrix must be symmetric"),
+            ("id,m1,m2\nm1,0,0.5\nm2,0.5,0.1\n", "self-distances must be zero"),
         ],
-        ids=["short-row", "nan", "inf"],
+        ids=["short-row", "nan", "inf", "non-numeric", "nan-below-diagonal", "nonzero-diagonal"],
     )
     def test_cached_matrix_error_names_the_fault(self, tmp_path, capsys, csv_text, message):
         manifest = identical_manifest(tmp_path, count=2)

@@ -20,7 +20,7 @@ from lpmgroup import (
     sweep,
 )
 from lpmgroup.clustering import DEFAULT_THRESHOLDS, _merges
-from genmodels import chain_lpm, planted_groups
+from genmodels import chain_lpm, matrix_of, planted_groups, random_matrix, square_matrix
 from oracles import (
     numpy_merges,
     numpy_silhouette,
@@ -28,14 +28,6 @@ from oracles import (
     oracle_medoid,
     oracle_silhouette,
 )
-
-
-def matrix_of(ids, entries) -> DistanceMatrix:
-    n = len(ids)
-    values = np.zeros((n, n))
-    for (i, j), d in entries.items():
-        values[i, j] = values[j, i] = d
-    return DistanceMatrix(ids=tuple(ids), values=values, measure="fixture")
 
 
 def three_point() -> DistanceMatrix:
@@ -54,14 +46,6 @@ def two_pairs() -> DistanceMatrix:
         ["m1", "m2", "m3", "m4"],
         {(0, 1): 0.1, (2, 3): 0.1, (0, 2): 0.9, (0, 3): 0.9, (1, 2): 0.9, (1, 3): 0.9},
     )
-
-
-def random_matrix(rng, n) -> DistanceMatrix:
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = round(rng.random(), 6)
-    return DistanceMatrix(ids=tuple(f"m{i}" for i in range(n)), values=values, measure="rnd")
 
 
 class TestAgglomerate:
@@ -227,12 +211,7 @@ class TestSweep:
 
         rng = random.Random(101)
         for _ in range(30):
-            n = rng.randint(2, 15)
-            values = np.zeros((n, n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    values[i, j] = values[j, i] = round(rng.random(), 1)
-            matrix = DistanceMatrix(ids=tuple(f"m{i}" for i in range(n)), values=values, measure="rnd")
+            matrix = random_matrix(rng, rng.randint(2, 15), decimals=1)
             thresholds = DEFAULT_THRESHOLDS + tuple(rng.random() for _ in range(3))
             result = sweep(matrix, thresholds)
             for threshold, outcome in zip(thresholds, result.outcomes):
@@ -260,14 +239,10 @@ class TestSweep:
         full precision."""
         rng = random.Random(103)
         for k in range(60):
-            n = rng.randint(3, 30)
-            values = np.zeros((n, n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    values[i, j] = values[j, i] = round(rng.random(), (1, 2, 6)[k % 3])
-            ids = [f"m{i}" for i in range(n)]
+            drawn = random_matrix(rng, rng.randint(3, 30), decimals=(1, 2, 6)[k % 3])
+            ids = list(drawn.ids)
             rng.shuffle(ids)
-            matrix = DistanceMatrix(ids=tuple(ids), values=values, measure="rnd")
+            matrix = square_matrix(ids, drawn.values, "rnd")
             for outcome in sweep(matrix).outcomes:
                 expected = oracle_silhouette(matrix, outcome.clusters)
                 assert silhouette(matrix, outcome.clusters) == outcome.silhouette == expected
@@ -319,8 +294,7 @@ class TestRepresentatives:
     def test_one_representative_per_cluster(self):
         ranked = self.rank_fixture()
         ids = [f"m{i}" for i in range(1, 10)]
-        matrix = random_matrix(random.Random(89), 9)
-        matrix = DistanceMatrix(ids=tuple(ids), values=matrix.values, measure="rnd")
+        matrix = random_matrix(random.Random(89), 9, ids=ids)
         clusters = (tuple(ids[:3]), tuple(ids[3:5]), tuple(ids[5:]))
         for strategy in ("rank", "dist"):
             reps = representatives(clusters, strategy, ranked, matrix)
@@ -331,9 +305,7 @@ class TestRepresentatives:
     def test_all_singletons_keep_every_model(self):
         ranked = self.rank_fixture()
         ids = [f"m{i}" for i in range(1, 10)]
-        matrix = DistanceMatrix(
-            ids=tuple(ids), values=random_matrix(random.Random(97), 9).values, measure="rnd"
-        )
+        matrix = random_matrix(random.Random(97), 9, ids=ids)
         clusters = tuple((i,) for i in ids)
         assert set(representatives(clusters, "dist", ranked, matrix)) == set(ids)
 
@@ -354,11 +326,8 @@ def drawn_matrices(draw) -> DistanceMatrix:
     n = draw(st.integers(2, 14))
     q = draw(st.sampled_from([None, 2, 3, 4, 10, 1000]))
     cell = st.floats(0.0, 1.0) if q is None else st.integers(0, q).map(lambda k: k / q)
-    values = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i][j] = values[j][i] = draw(cell)
-    return DistanceMatrix(ids=tuple(f"m{i}" for i in range(n)), values=values, measure="drawn")
+    cells = [draw(cell) for _ in range(n * (n - 1) // 2)]
+    return DistanceMatrix(tuple(f"m{i}" for i in range(n)), cells, "drawn")
 
 
 class TestClusterOrder:
@@ -368,7 +337,7 @@ class TestClusterOrder:
         # ids drawn in a shuffled order, so that row order is not name order
         drawn = data.draw(drawn_matrices())
         ids = tuple(data.draw(st.permutations(drawn.ids)))
-        matrix = DistanceMatrix(ids=ids, values=drawn.values, measure=drawn.measure)
+        matrix = square_matrix(ids, drawn.values, drawn.measure)
         row = dict(zip(ids, range(len(ids))))
         clusters, steps = agglomerate(matrix, ClusteringParams(threshold=threshold))
         assert sweep(matrix, (threshold,)).outcomes[0].clusters == clusters
@@ -405,11 +374,8 @@ class TestNumpyOracle:
     )
     def test_rounded_equals_numpy_round(self, cells):
         # k / 2e6 hits every half-way point of the sixth decimal
-        n = len(cells) + 1
-        values = [[0.0] * n for _ in range(n)]
-        for k, cell in enumerate(cells):
-            values[0][k + 1] = values[k + 1][0] = cell
-        matrix = DistanceMatrix(ids=tuple(f"m{i}" for i in range(n)), values=values, measure="drawn")
+        ids = tuple(f"m{i}" for i in range(len(cells) + 1))
+        matrix = matrix_of(ids, {(0, k + 1): cell for k, cell in enumerate(cells)}, "drawn")
         want = np.round(np.asarray(matrix.values), 6).tolist()
         got = matrix.rounded().values
         assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]

@@ -26,12 +26,12 @@ from lpmgroup import (
     representatives,
     sweep,
 )
-from genmodels import chain_lpm, planted_groups, random_lpm
+from genmodels import chain_lpm, planted_groups, random_lpm, square_matrix
 
 
 class TestMatrixExport:
     def test_zero_matrix_layout(self, tmp_path):
-        matrix = DistanceMatrix(ids=("a", "b"), values=np.zeros((2, 2)), measure="transition")
+        matrix = DistanceMatrix(("a", "b"), [0.0], "transition")
         path = tmp_path / "matrix.csv"
         export_matrix(matrix, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -56,7 +56,7 @@ class TestMatrixExport:
                 values[i][j] = values[j][i] = rng.choice([k / 2e6, rng.random(), 1.0])
                 if values[i][j] == k / 2e6:
                     half_way.append(k)
-        matrix = DistanceMatrix(ids=ids, values=values, measure="rnd")
+        matrix = square_matrix(ids, values, "rnd")
 
         def line(cells):  # csv's quoting with "\r" as a line break too, and a "\n" line end
             buf = io.StringIO()
@@ -75,14 +75,7 @@ class TestMatrixExport:
     def test_export_load_export_is_byte_identical(self, tmp_path):
         rng = random.Random(5)
         models = [random_lpm(rng, f"m{k}", max_transitions=4, max_places=3) for k in range(6)]
-        approx = np.zeros((3, 3), dtype=bool)
-        approx[0, 2] = approx[2, 0] = True
-        approx_bearing = DistanceMatrix(
-            ids=("c", "a", "b"),
-            values=np.array([[0.0, 0.25, 0.5], [0.25, 0.0, 0.125], [0.5, 0.125, 0.0]]),
-            measure="efg",
-            approx=approx,
-        )
+        approx_bearing = DistanceMatrix(("c", "a", "b"), [0.25, 0.5, 0.125], "efg", [False, True, False])
         for k, matrix in enumerate((distance_matrix(models, Measure.NODE), approx_bearing)):
             first = tmp_path / f"one{k}.csv"
             export_matrix(matrix, first)
@@ -97,9 +90,7 @@ class TestMatrixExport:
                 assert flags.read_bytes() == flags_again.read_bytes()
 
     def test_approx_flags_written_separately(self, tmp_path):
-        values = np.array([[0.0, 0.5], [0.5, 0.0]])
-        approx = np.array([[False, True], [True, False]])
-        matrix = DistanceMatrix(ids=("a", "b"), values=values, measure="efg", approx=approx)
+        matrix = DistanceMatrix(("a", "b"), [0.5], "efg", [True])
         path = tmp_path / "matrix.csv"
         export_matrix(matrix, path)
         flags = tmp_path / "matrix_approx.csv"
@@ -107,11 +98,9 @@ class TestMatrixExport:
         assert flags.read_text(encoding="utf-8").splitlines()[1] == "a,b"
 
     def test_reexport_without_approx_pairs_removes_stale_flags(self, tmp_path):
-        values = np.array([[0.0, 0.5], [0.5, 0.0]])
-        approx = np.array([[False, True], [True, False]])
         path = tmp_path / "matrix.csv"
-        export_matrix(DistanceMatrix(ids=("a", "b"), values=values, measure="efg", approx=approx), path)
-        export_matrix(DistanceMatrix(ids=("a", "b"), values=values, measure="efg"), path)
+        export_matrix(DistanceMatrix(("a", "b"), [0.5], "efg", [True]), path)
+        export_matrix(DistanceMatrix(("a", "b"), [0.5], "efg"), path)
         assert not (tmp_path / "matrix_approx.csv").exists()
 
 

@@ -1,5 +1,6 @@
 """Distance matrix assembly: determinism, flags, worker equivalence, forked pairs."""
 
+import math
 import os
 import random
 import signal
@@ -9,6 +10,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import squareform
 
 import lpmgroup
 from lpmgroup import (
@@ -17,6 +21,7 @@ from lpmgroup import (
     MatrixParams,
     distance,
     distance_matrix,
+    load_matrix,
     similarity,
 )
 from lpmgroup.matrix import MEASURES, MeasureSpec, _quantized
@@ -41,53 +46,110 @@ def forks(monkeypatch):
     return pids
 
 
+def _loaded(tmp_path, csv_text: str) -> DistanceMatrix:
+    path = tmp_path / "matrix.csv"
+    path.write_text(csv_text, encoding="utf-8")
+    return load_matrix(path)
+
+
 class TestDistanceMatrixType:
+    """The constructor takes the condensed upper triangle, so it cannot be
+    handed an asymmetric square or a nonzero diagonal; ``load_matrix``, where
+    a square comes in from a file, refuses those."""
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):
-            DistanceMatrix(ids=("a", "a"), values=np.zeros((2, 2)), measure="transition")
+            DistanceMatrix(("a", "a"), [0.0], "transition")
 
-    def test_rejects_asymmetry(self):
+    def test_rejects_asymmetry(self, tmp_path):
         # the second matrix is within numpy's default relative tolerance of
-        # symmetric; symmetry is exact or the matrix is refused
-        for upper, lower in ((0.3, 0.4), (0.5, 0.500004)):
-            values = np.array([[0.0, upper], [lower, 0.0]])
+        # symmetric; symmetry is exact or the matrix is refused. The third
+        # has a valid upper triangle: the lower one must still equal it
+        for upper, lower in ((0.3, 0.4), (0.5, 0.500004), (0.5, "nan")):
             with pytest.raises(ValueError, match="symmetric"):
-                DistanceMatrix(ids=("a", "b"), values=values, measure="transition")
+                _loaded(tmp_path, f"id,a,b\na,0,{upper}\nb,{lower},0\n")
 
-    def test_rejects_nonzero_diagonal(self):
-        values = np.array([[0.1, 0.3], [0.3, 0.0]])
-        with pytest.raises(ValueError):
-            DistanceMatrix(ids=("a", "b"), values=values, measure="transition")
-
-    @pytest.mark.parametrize(
-        "flagged",
-        [[(0, 0), (1, 0)], [(1, 0)], [(0, 0)], [(0, 1), (1, 0), (2, 2)]],
-        ids=["diagonal-and-lower", "lower-only", "diagonal", "symmetric-plus-diagonal"],
-    )
-    def test_rejects_flags_the_export_would_drop(self, flagged):
-        # export_matrix writes the upper triangle of the flags alone, so a
-        # lower-only or diagonal flag would not survive a reload
-        approx = [[False] * 3 for _ in range(3)]
-        for i, j in flagged:
-            approx[i][j] = True
-        with pytest.raises(ValueError, match="flags must be symmetric"):
-            DistanceMatrix(ids=("a", "b", "c"), values=np.zeros((3, 3)), measure="efg", approx=approx)
+    def test_rejects_nonzero_diagonal(self, tmp_path):
+        for diagonal in ("0.1", "nan", "-1"):
+            with pytest.raises(ValueError, match="self-distances must be zero"):
+                _loaded(tmp_path, f"id,a,b\na,0,0.3\nb,0.3,{diagonal}\n")
 
     def test_unknown_id_raises_key_error(self):
-        matrix = DistanceMatrix(ids=("a", "b"), values=np.zeros((2, 2)), measure="transition")
+        matrix = DistanceMatrix(("a", "b"), [0.0], "transition")
         assert matrix.index("b") == 1
         with pytest.raises(KeyError, match="unknown model id 'z'"):
             matrix.index("z")
 
     def test_submatrix_keeps_entries(self):
-        values = np.array([[0.0, 0.2, 0.4], [0.2, 0.0, 0.6], [0.4, 0.6, 0.0]])
-        approx = [[False, False, True], [False, False, False], [True, False, False]]
-        matrix = DistanceMatrix(ids=("a", "b", "c"), values=values, measure="transition", approx=approx)
+        matrix = DistanceMatrix(("a", "b", "c"), [0.2, 0.4, 0.6], "transition", [False, True, False])
         sub = matrix.submatrix(["c", "a"])
         assert sub.entry("c", "a") == matrix.entry("a", "c") == 0.4
         assert sub.approx == ((False, True), (True, False)) and sub.index("a") == 1
         with pytest.raises(ValueError, match="unique"):
             matrix.submatrix(["a", "a"])
+
+
+@st.composite
+def condensed(draw):
+    """Ids, distances and flags of n = 0..12 models: tie-heavy distances at
+    six decimals, and half-way points of the sixth decimal."""
+    n = draw(st.integers(0, 12))
+    pairs = n * (n - 1) // 2
+    cell = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(0, 2_000_000).map(lambda k: k / 2e6))
+    distances = draw(st.lists(cell, min_size=pairs, max_size=pairs))
+    flags = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+    return tuple(f"m{i}" for i in range(n)), distances, flags
+
+
+def _scipy_square(cells, n: int, dtype) -> np.ndarray:
+    """scipy's square of a condensed triangle; squareform turns an empty one into a 1 x 1 square."""
+    return squareform(np.asarray(cells, dtype=dtype)) if n > 1 else np.zeros((n, n), dtype=dtype)
+
+
+def _bits(table) -> list[list[str]]:
+    return [[float(x).hex() for x in row] for row in table]
+
+
+def _flags(table) -> list[list[bool]]:
+    return [list(row) for row in table]
+
+
+class TestCondensedConstructor:
+    """The constructor against scipy's ``squareform`` and numpy indexing and rounding."""
+
+    @settings(max_examples=300, database=None, derandomize=True, deadline=None)
+    @given(drawn=condensed(), data=st.data())
+    def test_tables_equal_squareform_and_numpy(self, drawn, data):
+        ids, distances, flags = drawn
+        n = len(ids)
+        matrix = DistanceMatrix(ids, distances, "drawn", flags)
+        square, approx = _scipy_square(distances, n, float), _scipy_square(flags, n, bool)
+        assert _bits(matrix.values) == _bits(square) and _flags(matrix.approx) == approx.tolist()
+        assert all(type(x) is float for row in matrix.values for x in row)
+        assert all(type(x) is bool for row in matrix.approx for x in row)
+        for order in (data.draw(st.permutations(ids)), ids[::-1]):
+            idx = [ids.index(i) for i in order]
+            sub = matrix.submatrix(order)
+            assert sub.ids == tuple(order)
+            assert _bits(sub.values) == _bits(square[np.ix_(idx, idx)])
+            assert _flags(sub.approx) == approx[np.ix_(idx, idx)].tolist()
+        rounded = matrix.rounded()
+        assert _bits(rounded.values) == _bits(np.round(square, 6)) and rounded.approx == matrix.approx
+
+    @settings(max_examples=100, database=None, derandomize=True, deadline=None)
+    @given(drawn=condensed(), data=st.data())
+    def test_refuses_wrong_lengths_and_distances_outside_the_unit_interval(self, drawn, data):
+        ids, distances, flags = drawn
+        for cells, cell_flags in ((distances + [0.5], flags), (distances, flags + [False])):
+            with pytest.raises(ValueError, match="one per pair"):
+                DistanceMatrix(ids, cells, "drawn", cell_flags)
+        if distances:
+            with pytest.raises(ValueError, match="one per pair"):
+                DistanceMatrix(ids, distances[:-1], "drawn")
+            k = data.draw(st.integers(0, len(distances) - 1))
+            for bad in (math.nan, -0.1, 1.1, math.inf):
+                with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                    DistanceMatrix(ids, [*distances[:k], bad, *distances[k + 1:]], "drawn", flags)
 
 
 class TestMatrixParams:

@@ -118,8 +118,8 @@ def test_models_and_matrices_compare_by_identity():
     lpm = chain_lpm("m1", ["a", "b"])
     twin = LocalProcessModel(lpm.id, lpm.net, lpm.initial, lpm.final)
     assert lpm == lpm and lpm != twin and len({lpm, twin}) == 2
-    matrix = DistanceMatrix(("a", "b"), [[0.0, 0.5], [0.5, 0.0]], "t")
-    same = DistanceMatrix(matrix.ids, matrix.values, matrix.measure, matrix.approx)
+    matrix = DistanceMatrix(("a", "b"), [0.5], "t")
+    same = DistanceMatrix(matrix.ids, [0.5], matrix.measure, [False])
     assert matrix == matrix and matrix != same and len({matrix, same}) == 2
 
 
@@ -147,7 +147,7 @@ def test_repr_lists_the_fields():
         "MatrixParams(bound=10, lang_cap=1000, enum_cap=100000, ged_budget=1000000, workers=1)"
     )
     assert repr(ClusteringParams(0.5)) == "ClusteringParams(threshold=0.5)"
-    assert repr(DistanceMatrix(("a", "b"), [[0, 1], [1, 0]], "t")) == (
+    assert repr(DistanceMatrix(("a", "b"), [1], "t")) == (
         "DistanceMatrix(ids=('a', 'b'), values=((0.0, 1.0), (1.0, 0.0)), measure='t', "
         "approx=((False, False), (False, False)))"
     )

@@ -12,7 +12,7 @@ import random
 
 from lpmgroup import DistanceMatrix, repr_dist, sweep
 from lpmgroup.measures import _ordered
-from genmodels import random_lpm
+from genmodels import random_lpm, random_matrix
 
 _plain_sum = builtins.sum
 
@@ -38,20 +38,10 @@ def test_neumaier_sum_compensates():
 def test_compensated_sum_moves_no_pinned_bit(monkeypatch):
     from test_ged import TestGedRaw, _RecordingSearch
 
-    rng = random.Random(5)
-    n = 40
-    values = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i][j] = values[j][i] = round(rng.random(), 6)
-    matrix = DistanceMatrix(ids=tuple(f"m{k}" for k in range(n)), values=values, measure="rnd")
+    matrix = random_matrix(random.Random(5), 40)
     # a's distances add up to 0.6000000000000001 left to right and to 0.6
     # compensated, b's to 0.6 either way: b is the medoid, a only on a tie
-    medoid_fixture = DistanceMatrix(
-        ids=("a", "b", "c", "d"),
-        values=[[0.0, 0.1, 0.2, 0.3], [0.1, 0.0, 0.5, 0.0], [0.2, 0.5, 0.0, 1.0], [0.3, 0.0, 1.0, 0.0]],
-        measure="fixture",
-    )
+    medoid_fixture = DistanceMatrix(("a", "b", "c", "d"), [0.1, 0.2, 0.3, 0.5, 0.0, 1.0], "fixture")
 
     def ged_bounds():
         """Every lower bound the searches compute: on the pinned GED pairs,
