@@ -19,7 +19,7 @@ _EXPORTS = {
     "ReductionCurve diversity_report map_ranks mean_pairwise_distance reduction_curve top_n",
     "clustering": "DEFAULT_THRESHOLDS ClusteringParams ClusterSet Dendrogram MergeStep SweepResult "
     "ThresholdOutcome agglomerate check_partition repr_dist repr_rank representatives silhouette sweep",
-    "exports": "export_clusters export_dot export_matrix export_reports export_sweep load_matrix matrix_to_csv",
+    "exports": "export_clusters export_dot export_matrix export_reports export_sweep load_matrix",
     "ged": "GedResult ged_raw ged_similarity",
     "manifest": "LoadedModels Manifest ManifestEntry ManifestError RankedModelSet load_manifest read_manifest",
     "matrix": "DistanceMatrix MatrixParams distance distance_matrix similarity",

@@ -98,27 +98,24 @@ def build_parser() -> _Parser:
 
     p_matrix = sub.add_parser("matrix", help="compute the pairwise distance matrix")
     _add_common(p_matrix)
-    p_matrix.add_argument("--out", required=True, help="output directory")
 
     p_cluster = sub.add_parser("cluster", help="sweep thresholds, cluster, pick representatives")
     _add_common(p_cluster)
     p_cluster.add_argument("--matrix", default=None, help="reuse a previously exported matrix CSV")
-    p_cluster.add_argument("--thresholds", default="0.1:1.0:0.1", help="lo:hi:step sweep (default 0.1:1.0:0.1)")
-    p_cluster.add_argument("--repr", dest="repr_strategy", choices=["rank", "dist"], default="dist")
-    p_cluster.add_argument("--out", required=True, help="output directory")
 
     p_div = sub.add_parser("diversity", help="reduction curve and diversity report")
     _add_common(p_div)
-    p_div.add_argument("--thresholds", default="0.1:1.0:0.1", help="lo:hi:step sweep (default 0.1:1.0:0.1)")
-    p_div.add_argument("--repr", dest="repr_strategy", choices=["rank", "dist"], default="dist")
+    for p_sweep in (p_cluster, p_div):  # after cluster's --matrix, before diversity's n lists
+        p_sweep.add_argument("--thresholds", default="0.1:1.0:0.1", help="lo:hi:step sweep (default 0.1:1.0:0.1)")
+        p_sweep.add_argument("--repr", dest="repr_strategy", choices=["rank", "dist"], default="dist")
     p_div.add_argument("--ns", default=",".join(str(n) for n in DEFAULT_DIVERSITY_NS), help="top-n sizes for the diversity comparison")
     p_div.add_argument("--curve-ns", default=",".join(str(n) for n in DEFAULT_CURVE_NS), help="top-n sizes for the reduction curve")
-    p_div.add_argument("--out", required=True, help="output directory")
 
     p_render = sub.add_parser("render", help="export models as DOT graphs")
     _add_common(p_render, with_measure=False)
     p_render.add_argument("--model", default=None, help="render a single model id")
-    p_render.add_argument("--out", required=True, help="output directory")
+    for p_out in (p_matrix, p_cluster, p_div, p_render):  # the last option of each
+        p_out.add_argument("--out", required=True, help="output directory")
     return parser
 
 

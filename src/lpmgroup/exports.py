@@ -8,7 +8,7 @@ order so repeated runs diff clean.
 from __future__ import annotations
 
 import json
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -54,28 +54,21 @@ def _write_json(path: Path | str, payload: dict) -> None:
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def matrix_to_csv(matrix: DistanceMatrix) -> str:
-    """The header and ids through ``_field``; each row's values in one ``%`` call,
-    the same digits as formatting every cell with ``f"{value:.6f}"``."""
-    row_format = f",%.{MATRIX_DECIMALS}f" * len(matrix.ids) + "\n"
-    lines = [_csv(["id", *matrix.ids], ())]
-    for model_id, row in zip(matrix.ids, matrix.values):
-        lines.append(_field(model_id) + row_format % tuple(row))
-    return "".join(lines)
-
-
 def _flags_path(path: Path) -> Path:
     return Path(str(path.with_suffix("")) + "_approx.csv")
 
 
 def export_matrix(matrix: DistanceMatrix, path: Path | str) -> None:
-    """Write the distance CSV; approximate pairs go to a sibling flags file,
-    which is removed when no pair is approximate."""
-    path = Path(path)
-    _write(path, matrix_to_csv(matrix))
+    """Write the distance CSV row by row, each row's values in one ``%`` call (the
+    digits of ``f"{value:.6f}"`` per cell); approximate pairs go to a sibling
+    flags file, which is removed when no pair is approximate."""
+    path, ids = Path(path), matrix.ids
+    row_format = f",%.{MATRIX_DECIMALS}f" * len(ids) + "\n"
+    with path.open("w", encoding="utf-8") as handle:
+        handle.write(_csv(["id", *ids], ()))
+        handle.writelines(_field(model_id) + row_format % row for model_id, row in zip(ids, matrix.values))
     flags = _flags_path(path)
-    ids = matrix.ids
-    pairs = [[ids[i], ids[j]] for i, row in enumerate(matrix.approx) for j in range(i + 1, len(ids)) if row[j]]
+    pairs = [[ids[i], ids[j]] for i, j in compress(combinations(range(len(ids)), 2), matrix.flags)]
     if not pairs:
         flags.unlink(missing_ok=True)
         return
@@ -83,33 +76,41 @@ def export_matrix(matrix: DistanceMatrix, path: Path | str) -> None:
 
 
 def load_matrix(path: Path | str, measure: str = "loaded") -> DistanceMatrix:
-    """Read a matrix CSV produced by export_matrix, exactly symmetric with a zero
-    diagonal, with its approximation flags when the sibling flags file exists."""
+    """Read a matrix CSV produced by export_matrix, each row checked as it comes in: exactly
+    symmetric with a zero diagonal. Its approximation flags come from the sibling flags file, if any."""
     import csv
 
-    from .matrix import DistanceMatrix
+    from .matrix import DistanceMatrix, _offsets
 
     path = Path(path)
-    square = []
+    upper: list[float] = []  # combinations(range(n), 2) order
     with path.open(newline="", encoding="utf-8") as handle:
-        rows = csv.reader(handle)  # read row by row: n² number strings at once would outweigh the matrix
+        rows = csv.reader(handle)  # one row at a time: the square is never held
         header = next(rows, [])
         if header[:1] != ["id"]:
             raise ValueError(f"{path} is not a distance matrix CSV")
         ids = tuple(header[1:])
-        n = len(ids)
-        for model_id, row in zip(ids, rows):
+        n, at, read = len(ids), _offsets(len(ids)), 0
+        for i, (model_id, row) in enumerate(zip(ids, rows)):
             if row[:1] != [model_id]:
                 raise ValueError(f"{path}: row order does not match the header")
             if len(row) != n + 1:
                 raise ValueError(f"{path}: row {model_id!r} holds {len(row) - 1} of {n} distances")
             try:
-                square.append(tuple(map(float, row[1:])))
+                cells = list(map(float, row[1:]))
             except ValueError as exc:
                 raise ValueError(f"{path}: row {model_id!r}: {exc}") from None
-        if len(square) != n or next(rows, None) is not None:
+            above = [upper[start + i] for start in at[:i]]  # column i of the rows read so far
+            fault = ("distances must lie in [0, 1]" if not all(0.0 <= x <= 1.0 for x in cells[i + 1:])
+                     else "self-distances must be zero" if cells[i] != 0.0
+                     else "distance matrix must be symmetric" if cells[:i] != above else None)
+            if fault:
+                raise ValueError(f"{path}: row {model_id!r}: {fault}")
+            upper.extend(cells[i + 1:])
+            read += 1
+        if read != n or next(rows, None) is not None:
             raise ValueError(f"{path}: expected {n} data rows")
-    flagged = set()  # (i, j) with i < j
+    flagged = bytearray(len(upper))  # one byte per pair, as DistanceMatrix.flags
     flags = _flags_path(path)
     if flags.exists():
         with flags.open(newline="", encoding="utf-8") as handle:
@@ -120,14 +121,9 @@ def load_matrix(path: Path | str, measure: str = "loaded") -> DistanceMatrix:
         for row in flag_rows[1:]:
             if len(row) != 2 or row[0] == row[1] or not set(row) <= index.keys():
                 raise ValueError(f"{flags}: bad flag row {row!r}")
-            flagged.add(tuple(sorted(map(index.get, row))))
-    upper = chain.from_iterable(row[i + 1:] for i, row in enumerate(square))  # row by row
-    matrix = DistanceMatrix(ids, upper, measure, [p in flagged for p in combinations(range(n), 2)] if flagged else None)
-    if matrix.values != tuple(square):
-        if any(row[k] for k, row in enumerate(square)):
-            raise ValueError("self-distances must be zero")
-        raise ValueError("distance matrix must be symmetric")
-    return matrix
+            i, j = sorted(map(index.get, row))
+            flagged[at[i] + j] = 1
+    return DistanceMatrix(ids, upper, measure, flagged)
 
 
 def export_clusters(

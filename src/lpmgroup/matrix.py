@@ -5,7 +5,7 @@
 the ``MatrixParams`` fields the two read. ``similarity``/``distance`` (one
 pair, raw), ``distance_matrix`` (all pairs, at the CSV precision) and the
 CLI's parameter notices all read this table. A ``DistanceMatrix`` mirrors its
-condensed upper triangle; ``exports.load_matrix`` checks a square from a file.
+condensed distances and keeps its flags condensed; ``exports.load_matrix`` checks a CSV.
 
 ``distance_matrix`` splits the pairs by stride over ``workers`` processes,
 the calling one included, at most one per CPU this process may run on. The
@@ -100,21 +100,25 @@ def _upper(table: Table, rows: Sequence[int]) -> list:
     return [table[i][j] for i, j in combinations(rows, 2)]
 
 
+def _offsets(n: int) -> list[int]:  # offsets[i] + j is the place of rows i < j in combinations(range(n), 2)
+    return [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
+
+
 class DistanceMatrix(Frozen):
     """Pairwise distances in [0, 1] with per-pair approximation flags.
 
     The constructor takes one distance (and flag) per pair of rows i < j in
-    ``combinations(range(n), 2)`` order, as scipy's ``squareform``; ``values`` and
-    ``approx`` mirror it into square ``Table``s. Matrices compare by identity.
+    ``combinations(range(n), 2)`` order, as scipy's ``squareform``; ``values`` mirrors
+    it into a square ``Table`` and ``flags`` keeps one byte, 0 or 1, per pair. Matrices compare by identity.
     """
 
-    __slots__ = ("ids", "values", "measure", "approx", "_rows")
+    __slots__ = ("ids", "values", "measure", "flags", "_rows")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
     ids: tuple[str, ...]
     values: Table
     measure: str
-    approx: Table
+    flags: bytes
     _rows: dict[str, int]  # id -> row
 
     def __init__(self, ids: Sequence[str], distances: Iterable[float], measure: str,
@@ -124,13 +128,17 @@ class DistanceMatrix(Frozen):
         if len(set(ids)) != n:
             raise ValueError("model ids must be unique")
         distances = tuple(map(float, distances))
-        flags = (False,) * len(distances) if flags is None else tuple(map(bool, flags))
+        flags = bytes(len(distances)) if flags is None else bytes(map(bool, flags))
         if len(distances) != n * (n - 1) // 2 or len(flags) != len(distances):
             raise ValueError(f"{n} ids need {n * (n - 1) // 2} distances and flags, one per pair")
         if not all(0.0 <= x <= 1.0 for x in distances):
             raise ValueError("distances must lie in [0, 1]")
-        self._set(ids=ids, values=Table(_mirrored(distances, n, 0.0)), measure=measure,
-                  approx=Table(_mirrored(flags, n, False)), _rows={m: k for k, m in enumerate(ids)})
+        self._set(ids=ids, values=Table(_mirrored(distances, n, 0.0)), measure=measure, flags=flags,
+                  _rows={m: k for k, m in enumerate(ids)})
+
+    @property
+    def approx(self) -> Table:  # the flags as a square bool Table, mirrored anew on each read
+        return Table(_mirrored(map(bool, self.flags), len(self), False))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -146,14 +154,13 @@ class DistanceMatrix(Frozen):
 
     def submatrix(self, ids: Sequence[str]) -> "DistanceMatrix":
         """The rows and columns of ``ids``, in that order."""
-        rows = [self.index(i) for i in ids]
-        return DistanceMatrix(ids, _upper(self.values, rows), self.measure, _upper(self.approx, rows))
+        rows, at, flags = [self.index(i) for i in ids], _offsets(len(self)), self.flags
+        return DistanceMatrix(ids, _upper(self.values, rows), self.measure,
+                              [flags[at[i] + j] if i < j else flags[at[j] + i] for i, j in combinations(rows, 2)])
 
     def rounded(self) -> "DistanceMatrix":
         """Copy at the CSV precision, for hand-built matrices: ``distance_matrix`` gives that precision already."""
-        rows = range(len(self))
-        return DistanceMatrix(self.ids, map(_quantized, _upper(self.values, rows)), self.measure,
-                              _upper(self.approx, rows))
+        return DistanceMatrix(self.ids, map(_quantized, _upper(self.values, range(len(self)))), self.measure, self.flags)
 
 
 class MeasureSpec(NamedTuple):
@@ -303,8 +310,8 @@ def _received(pid: int, read_end: int) -> tuple[list[float], list[bool]]:
     return payload
 
 
-def _condensed(compare, features, params: MatrixParams) -> tuple[list[float], list[bool]]:
-    """Distances and flags of every pair in ``combinations`` order; ``_stride`` k > 0 runs in a forked child.
+def _condensed(compare, features, params: MatrixParams) -> tuple[list[float], bytearray]:
+    """Distances and one flag byte of every pair in ``combinations`` order; ``_stride`` k > 0 runs in a fork.
 
     On any failure the parent first closes the read ends it still holds, so
     that a child blocked on a full pipe gets EPIPE, then reaps every child
@@ -312,7 +319,7 @@ def _condensed(compare, features, params: MatrixParams) -> tuple[list[float], li
     """
     pairs = len(features) * (len(features) - 1) // 2
     procs = min(params.workers, _usable_cpus(), pairs) if hasattr(os, "fork") else 1
-    distances, flags = [0.0] * pairs, [False] * pairs
+    distances, flags = [0.0] * pairs, bytearray(pairs)
     children: list[tuple[int, int]] = []  # (pid, read end), not yet reaped
     try:
         for k in range(1, procs):

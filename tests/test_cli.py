@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, flags, exit codes, pipeline equivalence."""
 
+import csv
 import hashlib
 import json
 import os
@@ -268,6 +269,27 @@ class TestDiversity:
         assert [p["n"] for p in report["reduction_curve"]] == [4, 12]
         assert [e["n"] for e in report["diversity"]] == [3, 6]
         assert (out / "clusters.csv").exists()
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the curve clusters each prefix in rank order, clusters.csv the whole set in "
+                       "manifest order, and complete linkage breaks distance ties by row")
+    def test_curve_point_of_every_model_equals_the_exported_clustering(self, tmp_path):
+        # 12 seed-3 models: the whole-set curve point gives 7 clusters, clusters.csv 6
+        rng = random.Random(3)
+        models = [random_lpm(rng, f"m{k}", max_transitions=3, max_places=2) for k in range(12)]
+        manifest = write_manifest(tmp_path, models)
+        spec = json.loads(manifest.read_text(encoding="utf-8"))
+        for k, entry in enumerate(spec["models"]):
+            entry["rank"] = 12 - k  # rank order is the reverse of manifest order
+        manifest.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["diversity", "--manifest", str(manifest), "--measure", "transition", "--curve-ns", "12"]
+        assert main([*argv, "--out", str(out)]) == 0
+        with (out / "clusters.csv").open(newline="", encoding="utf-8") as handle:
+            exported = {row["cluster_id"] for row in csv.DictReader(handle)}
+        [point] = json.loads((out / "report.json").read_text(encoding="utf-8"))["reduction_curve"]
+        assert point["model_count"] == 12
+        assert point["representative_count"] == len(exported)
 
 
 class TestGoldenBytes:

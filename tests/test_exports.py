@@ -20,7 +20,6 @@ from lpmgroup import (
     export_matrix,
     export_reports,
     load_matrix,
-    matrix_to_csv,
     ReductionCurve,
     reduction_curve,
     representatives,
@@ -39,7 +38,7 @@ class TestMatrixExport:
         assert lines[1] == "a,0.000000,0.000000"
         assert len(lines) == 3
 
-    def test_rows_match_per_cell_formatting_byte_for_byte(self):
+    def test_rows_match_per_cell_formatting_byte_for_byte(self, tmp_path):
         """Half-way values k/2e6 round in the last printed digit, and ids with
         commas, quotes or line breaks need csv quoting; the row-at-a-time
         writer must give the bytes of formatting every cell on its own, with
@@ -66,7 +65,8 @@ class TestMatrixExport:
         expected = line(["id", *ids]) + "".join(
             line([model_id, *(f"{v:.6f}" for v in row)]) for model_id, row in zip(ids, values)
         )
-        assert matrix_to_csv(matrix) == expected
+        export_matrix(matrix, tmp_path / "matrix.csv")
+        assert (tmp_path / "matrix.csv").read_bytes() == expected.encode("utf-8")
         rows = list(csv.reader(io.StringIO(expected, newline="")))
         assert rows[0] == ["id", *ids] and [row[0] for row in rows[1:]] == list(ids)
         # the half-way cells round both down and up

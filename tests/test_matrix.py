@@ -74,6 +74,29 @@ class TestDistanceMatrixType:
             with pytest.raises(ValueError, match="self-distances must be zero"):
                 _loaded(tmp_path, f"id,a,b\na,0,0.3\nb,0.3,{diagonal}\n")
 
+    def test_a_csv_without_its_last_row_is_refused(self, tmp_path):
+        # the last row adds no cell above the diagonal, so only a row count sees it missing
+        for text in ("id,a,b,c\na,0,0.1,0.2\nb,0.1,0,0.3\n", "id,a,b\na,0,0.1\n"):
+            with pytest.raises(ValueError, match=r"expected \d data rows"):
+                _loaded(tmp_path, text)
+        with pytest.raises(ValueError, match="expected 2 data rows"):
+            _loaded(tmp_path, "id,a,b\na,0,0.1\nb,0.1,0\nc,0,0\n")
+
+    @pytest.mark.parametrize("rows, message", [
+        # an asymmetric row before a nonzero diagonal
+        (["a,0,0.2,0.3", "b,0.25,0,0.4", "c,0.3,0.4,0.1"], "row 'b': distance matrix must be symmetric"),
+        # a nonzero diagonal before a distance outside [0, 1] above the diagonal
+        (["a,0,0.2,0.3,0.1", "b,0.2,0.1,0.4,0.1", "c,0.3,0.4,0,1.5", "d,0.1,0.1,1.5,0"],
+         "row 'b': self-distances must be zero"),
+        # a nonzero diagonal before a short row
+        (["a,0.5,0.2", "b,0.2"], "row 'a': self-distances must be zero"),
+    ])
+    def test_a_csv_with_two_faults_reports_the_first_faulty_row(self, tmp_path, rows, message):
+        ids = [row.split(",")[0] for row in rows]
+        with pytest.raises(ValueError) as caught:
+            _loaded(tmp_path, "\n".join([",".join(["id", *ids]), *rows]) + "\n")
+        assert str(caught.value).endswith(message)
+
     def test_unknown_id_raises_key_error(self):
         matrix = DistanceMatrix(("a", "b"), [0.0], "transition")
         assert matrix.index("b") == 1
@@ -127,14 +150,20 @@ class TestCondensedConstructor:
         assert _bits(matrix.values) == _bits(square) and _flags(matrix.approx) == approx.tolist()
         assert all(type(x) is float for row in matrix.values for x in row)
         assert all(type(x) is bool for row in matrix.approx for x in row)
+        assert type(matrix.flags) is bytes and list(matrix.flags) == list(map(int, flags))
+        assert len(matrix.flags) == n * (n - 1) // 2
+        assert matrix.approx is not matrix.approx  # mirrored anew from the flags on each read
         for order in (data.draw(st.permutations(ids)), ids[::-1]):
             idx = [ids.index(i) for i in order]
             sub = matrix.submatrix(order)
             assert sub.ids == tuple(order)
             assert _bits(sub.values) == _bits(square[np.ix_(idx, idx)])
             assert _flags(sub.approx) == approx[np.ix_(idx, idx)].tolist()
+            if n > 1:
+                assert list(sub.flags) == squareform(approx[np.ix_(idx, idx)]).astype(int).tolist()
         rounded = matrix.rounded()
         assert _bits(rounded.values) == _bits(np.round(square, 6)) and rounded.approx == matrix.approx
+        assert rounded.flags == matrix.flags
 
     @settings(max_examples=100, database=None, derandomize=True, deadline=None)
     @given(drawn=condensed(), data=st.data())

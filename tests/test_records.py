@@ -149,6 +149,6 @@ def test_repr_lists_the_fields():
     assert repr(ClusteringParams(0.5)) == "ClusteringParams(threshold=0.5)"
     assert repr(DistanceMatrix(("a", "b"), [1], "t")) == (
         "DistanceMatrix(ids=('a', 'b'), values=((0.0, 1.0), (1.0, 0.0)), measure='t', "
-        "approx=((False, False), (False, False)))"
+        "flags=b'\\x00')"
     )
     assert repr(Marking(["b", "a", "a"])) == "Marking({a:2, b:1})"
