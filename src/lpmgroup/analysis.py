@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .manifest import RankedModelSet
 from .measures import Measure, left_sum
-from .petri import LocalProcessModel
 
 if TYPE_CHECKING:  # matrix only types arguments here; clustering is imported where it is used
     from .matrix import DistanceMatrix
@@ -23,22 +22,18 @@ DEFAULT_CURVE_NS: tuple[int, ...] = (5, 10, 20, 50, 100, 500)
 DEFAULT_DIVERSITY_NS: tuple[int, ...] = (5, 10, 50, 100)
 
 
-def top_n(ranked: RankedModelSet, n: int) -> tuple[LocalProcessModel, ...]:
-    """The min(n, total) best-ranked models, best first."""
+def top_n(ranked: RankedModelSet, n: int) -> tuple[str, ...]:
+    """The ids of the min(n, total) best-ranked models, best first."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ids = ranked.ids_by_rank()[:n]
-    return tuple(ranked.model(i) for i in ids)
+    return ranked.ids_by_rank()[:n]
 
 
-def mean_pairwise_distance(
-    models: Sequence[LocalProcessModel | str], matrix: DistanceMatrix
-) -> float | None:
+def mean_pairwise_distance(ids: Sequence[str], matrix: DistanceMatrix) -> float | None:
     """Mean of the C(n, 2) distinct pair distances; None below two models."""
-    ids = [m if isinstance(m, str) else m.id for m in models]
     if len(ids) < 2:
         return None
-    rows = sorted(matrix.index(i) for i in ids)
+    rows = sorted(map(matrix.index, ids))
     return left_sum(matrix.values[a][b] for a, b in combinations(rows, 2)) / comb(len(rows), 2)
 
 
@@ -100,7 +95,7 @@ def reduction_curve(
     points = []
     sweeps = {}  # by prefix length: prefixes are nested by rank, so one length is one set
     for n in ns:
-        prefix = [m.id for m in top_n(ranked, n)]
+        prefix = top_n(ranked, n)
         if len(prefix) < 2:  # nothing to cluster: each model represents itself
             count, threshold, score, degenerate = len(prefix), None, None, True
         else:

@@ -259,10 +259,8 @@ def repr_dist(
     ids = sorted(cluster)
     if len(ids) == 1:
         return ids[0]
-    means = {}
-    for i in ids:
-        row = matrix.values[matrix.index(i)]
-        means[i] = left_sum(row[matrix.index(j)] for j in ids if j != i) / (len(ids) - 1)
+    rows = list(map(matrix.index, ids))  # each mean adds its terms in sorted-id order, not row order
+    means = {i: left_sum(matrix.values[r][c] for c in rows if c != r) / (len(ids) - 1) for i, r in zip(ids, rows)}
     if ranked is not None:
         return min(ids, key=lambda i: (means[i], ranked.rank(i), i))
     return min(ids, key=lambda i: (means[i], i))

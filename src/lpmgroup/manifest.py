@@ -68,12 +68,6 @@ class RankedModelSet(Frozen):
     def __len__(self) -> int:
         return len(self.models)
 
-    def model(self, model_id: str) -> LocalProcessModel:
-        for m in self.models:
-            if m.id == model_id:
-                return m
-        raise KeyError(f"unknown model id {model_id!r}")
-
     def rank(self, model_id: str) -> int:
         return self.ranks[model_id]
 

@@ -149,9 +149,6 @@ class DistanceMatrix(Frozen):
         except KeyError:
             raise KeyError(f"unknown model id {model_id!r}") from None
 
-    def entry(self, id_a: str, id_b: str) -> float:
-        return self.values[self.index(id_a)][self.index(id_b)]
-
     def submatrix(self, ids: Sequence[str]) -> "DistanceMatrix":
         """The rows and columns of ``ids``, in that order."""
         rows, at, flags = [self.index(i) for i in ids], _offsets(len(self)), self.flags

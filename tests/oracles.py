@@ -260,7 +260,7 @@ def oracle_medoid(cluster_ids, matrix) -> str:
         return ids[0]
     best_id, best_mean = None, float("inf")
     for i in ids:
-        mean = _left_sum(matrix.entry(i, j) for j in ids if j != i) / (len(ids) - 1)
+        mean = _left_sum(matrix.values[matrix.index(i)][matrix.index(j)] for j in ids if j != i) / (len(ids) - 1)
         if mean < best_mean:
             best_id, best_mean = i, mean
     return best_id
@@ -269,7 +269,7 @@ def oracle_medoid(cluster_ids, matrix) -> str:
 def oracle_mean_pairwise(ids, matrix) -> float:
     ids = list(ids)
     pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1 :]]
-    return sum(matrix.entry(a, b) for a, b in pairs) / len(pairs)
+    return sum(matrix.values[matrix.index(a)][matrix.index(b)] for a, b in pairs) / len(pairs)
 
 
 def oracle_complete_linkage(matrix, threshold: float):

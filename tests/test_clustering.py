@@ -291,6 +291,16 @@ class TestRepresentatives:
             cluster = matrix.ids
             assert repr_dist(cluster, matrix) == oracle_medoid(cluster, matrix)
 
+    def test_repr_dist_adds_each_mean_in_sorted_id_order(self):
+        # rows run d, c, b, a. In id order a's distances 0.1, 0.2, 0.3 add up to
+        # 0.6000000000000001 and b's 0.1, 0.5, 0.0 to 0.6, so b is the medoid.
+        # In row order both add up to 0.6, and the tie would go to a.
+        matrix = matrix_of(["d", "c", "b", "a"], {(0, 1): 1.0, (0, 3): 0.3, (1, 2): 0.5, (1, 3): 0.2, (2, 3): 0.1})
+        ranked = RankedModelSet(models=tuple(chain_lpm(i, ["a"]) for i in "abcd"), ranks={"a": 1, "b": 2, "c": 3, "d": 4})
+        for cluster in (tuple("abcd"), tuple("dcba"), tuple("bdac")):
+            assert repr_dist(cluster, matrix) == repr_dist(cluster, matrix, ranked) == "b"
+            assert oracle_medoid(cluster, matrix) == "b"
+
     def test_one_representative_per_cluster(self):
         ranked = self.rank_fixture()
         ids = [f"m{i}" for i in range(1, 10)]
