@@ -2,9 +2,11 @@
 
 Exit codes: 0 on success, 1 on input errors, and 2 when a degenerate
 clustering result (no silhouette-selectable threshold) is escalated by
-``--strict``. ``distance_matrix`` gives distances at the CSV precision, so
-running from a cached matrix file and running end to end produce identical
-outputs.
+``--strict``. ``python -m lpmgroup``, ``python -m lpmgroup.cli`` and the
+``lpmgroup`` script run ``entry``, which ends the process; ``main(argv)``
+returns the code to an in-process caller. ``distance_matrix`` gives
+distances at the CSV precision, so running from a cached matrix file and
+running end to end produce identical outputs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .analysis import (
     DEFAULT_CURVE_NS,
@@ -311,5 +313,23 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def entry() -> NoReturn:
+    """The command line: ``main`` on ``sys.argv``, then the process ends with its exit code.
+
+    Every file a command writes is closed when ``main`` returns, so once
+    stdout and stderr are flushed the process ends by ``os._exit``, as the
+    forked pair workers do, without interpreter teardown. If a flush fails
+    (stdout closed, or a pipe nobody reads), ``sys.exit`` ends it, with the
+    interpreter's own report.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # no stream (fd closed at start), a dead pipe, a closed file
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -8,12 +8,15 @@ CLI's parameter notices all read this table. A ``DistanceMatrix`` mirrors its
 condensed distances and keeps its flags condensed; ``exports.load_matrix`` checks a CSV.
 
 ``distance_matrix`` splits the pairs by stride over ``workers`` processes,
-the calling one included, at most one per CPU this process may run on. The
-extra processes are forked children: they inherit the features and loaded
-modules, compute their stride and send the results back over a pipe with
-``marshal``, which keeps every float bit-exact. Where ``os.fork`` does not
-exist, the pairs run in the calling process. A child holds only the forking
-thread, so a caller that runs other threads keeps ``workers`` at 1.
+the calling one included, at most one per CPU this process may run on. A
+measure whose spec has a ``key`` step (``ged``) gets every pair's key
+first; the distinct keys are split instead, each solved once, and every pair
+takes the result of its key. The extra processes are forked children: they
+inherit the features and loaded modules, compute their stride and send the
+results back over a pipe with ``marshal``, which keeps every float
+bit-exact. Where ``os.fork`` does not exist, the pairs run in the calling
+process. A child holds only the forking thread, so a caller that runs other
+threads keeps ``workers`` at 1.
 Matrices are identical regardless of worker count or scheduling.
 """
 
@@ -21,11 +24,11 @@ from __future__ import annotations
 
 import marshal
 import os
-from functools import reduce
+from functools import partial, reduce
 from importlib import import_module
 from itertools import chain, combinations, islice
 from operator import add
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .exports import MATRIX_DECIMALS
 from .measures import (
@@ -170,7 +173,13 @@ class MeasureSpec(NamedTuple):
     featurize: Callable[[LocalProcessModel, MatrixParams], tuple[object, bool]]
     compare: Callable[[object, object, MatrixParams], tuple[float, bool]]
     reads: tuple[str, ...]  # the MatrixParams fields the measure depends on
-    loads: str | None = None  # a module compare imports on first use, loaded once before any fork
+    loads: str | None = None  # a module the steps import on first use, loaded once before any fork
+    # Optional split of compare into key(fa, fb, params), a hashable holding
+    # all the comparison reads, and solve(key) -> (similarity, approx):
+    # distance_matrix computes every pair's key before it forks and solves
+    # each distinct key once.
+    key: Callable[[object, object, MatrixParams], Hashable] | None = None
+    solve: Callable[[Hashable], tuple[float, bool]] | None = None
 
 
 def _model(model: LocalProcessModel, params: MatrixParams) -> tuple[object, bool]:
@@ -200,11 +209,28 @@ def _exact(kernel: Callable[[object, object], float]):
     return lambda fa, fb, params: (kernel(fa, fb), False)
 
 
-def _ged(fa: LocalProcessModel, fb: LocalProcessModel, params: MatrixParams) -> tuple[float, bool]:
-    from .ged import ged_similarity  # imported only here: no other measure compiles the search
+# lpmgroup.ged is imported only here: no other measure compiles the search
+def _ged_tables(model: LocalProcessModel, params: MatrixParams) -> tuple[object, bool]:
+    from .ged import ged_tables
 
-    sim, exact = ged_similarity(fa, fb, params.ged_budget)
+    return ged_tables(model), False
+
+
+def _ged_key(fa, fb, params: MatrixParams) -> Hashable:
+    from .ged import search_key
+
+    return search_key(fa, fb, params.ged_budget)
+
+
+def _ged_solve(key: Hashable) -> tuple[float, bool]:
+    from .ged import key_similarity
+
+    sim, exact = key_similarity(key)
     return sim, not exact
+
+
+def _ged(fa, fb, params: MatrixParams) -> tuple[float, bool]:
+    return _ged_solve(_ged_key(fa, fb, params))
 
 
 MEASURES: dict[Measure, MeasureSpec] = {
@@ -212,7 +238,7 @@ MEASURES: dict[Measure, MeasureSpec] = {
     Measure.NODE: MeasureSpec(_model, _exact(sim_node), ()),
     Measure.EFG: MeasureSpec(_ef, _exact(dice), ("bound", "enum_cap")),
     Measure.FULL: MeasureSpec(_traces, _exact(_full_from_traces), ("bound", "lang_cap", "enum_cap")),
-    Measure.GED: MeasureSpec(_model, _ged, ("ged_budget",), loads=".ged"),
+    Measure.GED: MeasureSpec(_ged_tables, _ged, ("ged_budget",), loads=".ged", key=_ged_key, solve=_ged_solve),
 }
 
 
@@ -259,8 +285,18 @@ def _stride(compare, features, params: MatrixParams, k: int, procs: int) -> tupl
     return values, flags
 
 
-def _child(compare, features, params: MatrixParams, k: int, procs: int, write_end: int, inherited: list[int]) -> None:
-    """Body of a forked child: compute one stride, send it, never return.
+def _solved(solve, keys: Sequence[Hashable], k: int, procs: int) -> tuple[list[float], list[bool]]:
+    """Distances and flags of every ``procs``-th pair key, from the ``k``-th on."""
+    values, flags = [], []
+    for key in islice(keys, k, None, procs):
+        sim, approx = solve(key)
+        values.append(_quantized(1.0 - sim))
+        flags.append(approx)
+    return values, flags
+
+
+def _child(stride, k: int, procs: int, write_end: int, inherited: list[int]) -> None:
+    """Body of a forked child: compute ``stride(k, procs)``, send it, never return.
 
     ``inherited`` are the read ends the child got by the fork, its own and
     the earlier children's; closing them leaves the parent as the only reader.
@@ -270,7 +306,7 @@ def _child(compare, features, params: MatrixParams, k: int, procs: int, write_en
         for fd in inherited:
             os.close(fd)
         try:
-            message = marshal.dumps((True, _stride(compare, features, params, k, procs)))
+            message = marshal.dumps((True, stride(k, procs)))
         except BaseException as exc:
             import pickle
 
@@ -307,16 +343,16 @@ def _received(pid: int, read_end: int) -> tuple[list[float], list[bool]]:
     return payload
 
 
-def _condensed(compare, features, params: MatrixParams) -> tuple[list[float], bytearray]:
-    """Distances and one flag byte of every pair in ``combinations`` order; ``_stride`` k > 0 runs in a fork.
+def _condensed(stride, count: int, workers: int) -> tuple[list[float], bytearray]:
+    """Distances and one flag byte of ``count`` items in order; ``stride(k, procs)`` gives every
+    ``procs``-th from the ``k``-th on, and runs in a fork for k > 0.
 
     On any failure the parent first closes the read ends it still holds, so
     that a child blocked on a full pipe gets EPIPE, then reaps every child
     and raises; no partial result is returned.
     """
-    pairs = len(features) * (len(features) - 1) // 2
-    procs = min(params.workers, _usable_cpus(), pairs) if hasattr(os, "fork") else 1
-    distances, flags = [0.0] * pairs, bytearray(pairs)
+    procs = min(workers, _usable_cpus(), count) if hasattr(os, "fork") else 1
+    distances, flags = [0.0] * count, bytearray(count)
     children: list[tuple[int, int]] = []  # (pid, read end), not yet reaped
     try:
         for k in range(1, procs):
@@ -328,10 +364,10 @@ def _condensed(compare, features, params: MatrixParams) -> tuple[list[float], by
                 os.close(write_end)
                 raise
             if pid == 0:
-                _child(compare, features, params, k, procs, write_end, [read_end, *(fd for _, fd in children)])
+                _child(stride, k, procs, write_end, [read_end, *(fd for _, fd in children)])
             os.close(write_end)
             children.append((pid, read_end))
-        distances[::procs], flags[::procs] = _stride(compare, features, params, 0, procs)
+        distances[::procs], flags[::procs] = stride(0, procs)
         for k in range(1, procs):
             distances[k::procs], flags[k::procs] = _received(*children.pop(0))
         return distances, flags
@@ -340,6 +376,15 @@ def _condensed(compare, features, params: MatrixParams) -> tuple[list[float], by
             os.close(read_end)
         for pid, _ in children:
             os.waitpid(pid, 0)
+
+
+def _keyed(spec: MeasureSpec, features, params: MatrixParams) -> tuple[list[float], bytearray]:
+    """Distances and flags of every pair, each distinct pair key solved once on the strides."""
+    slots: dict[Hashable, int] = {}  # distinct key -> its place in solving order
+    at = [slots.setdefault(spec.key(fa, fb, params), len(slots)) for (fa, _), (fb, _) in combinations(features, 2)]
+    values, flags = _condensed(partial(_solved, spec.solve, list(slots)), len(slots), params.workers)
+    approx = (approx_a or approx_b for (_, approx_a), (_, approx_b) in combinations(features, 2))
+    return [values[k] for k in at], bytearray(flags[k] or flag for k, flag in zip(at, approx))
 
 
 def distance_matrix(
@@ -359,5 +404,9 @@ def distance_matrix(
     if spec.loads:
         import_module(spec.loads, __package__)  # once here, not once per forked child
     features = [spec.featurize(m, params) for m in models]
-    distances, flags = _condensed(spec.compare, features, params)
+    if spec.key is None:
+        stride = partial(_stride, spec.compare, features, params)
+        distances, flags = _condensed(stride, len(ids) * (len(ids) - 1) // 2, params.workers)
+    else:
+        distances, flags = _keyed(spec, features, params)
     return DistanceMatrix(ids, distances, measure.value, flags)

@@ -188,8 +188,12 @@ def place_gain(net_a: LabeledPetriNet, p1: str, net_b: LabeledPetriNet, p2: str)
     The surrounding label sets keep silent labels; a silent transition is
     part of a place's structural context even though it is not an activity.
     """
-    (pre_a, post_a), (pre_b, post_b) = net_a.context(p1), net_b.context(p2)
-    return 0.5 * dice(pre_a, pre_b) + 0.5 * dice(post_a, post_b)
+    return context_gain(net_a.context(p1), net_b.context(p2))
+
+
+def context_gain(a: tuple[frozenset[str], frozenset[str]], b: tuple[frozenset[str], frozenset[str]]) -> float:
+    """``place_gain`` of two place contexts, (preset labels, postset labels)."""
+    return 0.5 * dice(a[0], b[0]) + 0.5 * dice(a[1], b[1])
 
 
 def sim_node(a: LocalProcessModel, b: LocalProcessModel) -> float:

@@ -96,6 +96,28 @@ def random_lpm(
     return LocalProcessModel(id=model_id, net=net, initial=initial, final=final)
 
 
+def relabeled(lpm: LocalProcessModel, model_id: str) -> LocalProcessModel:
+    """The same net and markings with every transition labeled ``<model_id>.<transition>``:
+    a label no model with another id carries."""
+    net = lpm.net
+    labels = {t: f"{model_id}.{t}" for t in net.transitions}
+    copy = LabeledPetriNet(places=net.places, transitions=net.transitions, arcs=net.arcs, labels=labels)
+    return LocalProcessModel(id=model_id, net=copy, initial=lpm.initial, final=lpm.final)
+
+
+def skeleton_copies(rng: random.Random, skeletons: int, copies: int, **sizes) -> list[LocalProcessModel]:
+    """``skeletons`` random models ``s<k>``, each followed by ``copies`` relabeled copies ``s<k>r<c>``.
+
+    Between models that share no label, the GED node costs follow the net
+    structure alone, so pairs of copies repeat one another's GED search input.
+    """
+    models = []
+    for k in range(skeletons):
+        model = random_lpm(rng, f"s{k}", **sizes)
+        models += [model, *(relabeled(model, f"s{k}r{c}") for c in range(copies))]
+    return models
+
+
 def self_loop_star(loops: int) -> LocalProcessModel:
     """t0 -> p0 -> exit, with ``loops`` self-loop transitions on p0: the
     language grows exponentially in the bound."""

@@ -7,6 +7,8 @@ transitions and 6 places), ranked in that order. On each it runs, with
 - ``cluster``;
 - ``cluster --matrix`` on the matrix CSV that ``cluster`` wrote;
 - ``diversity``.
+A size given as ``ged:N`` runs ``cluster`` alone on the N-model manifest,
+with ``--measure ged --ged-budget 600``.
 
 Each call is a fresh ``python -m lpmgroup.cli`` reaped with ``os.wait4``,
 which gives its wall time and its peak resident memory (``ru_maxrss``).
@@ -20,7 +22,7 @@ calls alternate between them, and the trees swap places every repetition. A
 digest of every file a call writes shows whether the trees agree byte for
 byte. Prints one JSON object.
 
-Usage: python tests/scale_probe.py [--sizes 600,2000] [--seed 7007] [--repeat 1]
+Usage: python tests/scale_probe.py [--sizes 600,2000,ged:100] [--seed 7007] [--repeat 1]
        [--src LABEL=DIR ...] [--work DIR]
 """
 
@@ -38,6 +40,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 COMMANDS = ("cluster", "cluster_cached", "diversity")
+GED_FLAGS = ["--measure", "ged", "--ged-budget", "600"]
 
 
 def write_manifest(root: Path, size: int, seed: int) -> Path:
@@ -94,9 +97,9 @@ def run(src: Path, argv: list[str]) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024
 
 
-def probe(manifest: Path, src: Path, work: Path) -> dict[str, tuple[float, float, str]]:
-    """Each command once on ``manifest``: wall seconds, peak MB and the digest of its outputs."""
-    common = ["--manifest", str(manifest), "--measure", "transition"]
+def probe(manifest: Path, src: Path, work: Path, ged: bool) -> dict[str, tuple[float, float, str]]:
+    """Each command once on ``manifest``, ``cluster`` alone under ``ged``: wall seconds, peak MB and the digest of its outputs."""
+    common = ["--manifest", str(manifest), *(GED_FLAGS if ged else ["--measure", "transition"])]
     outs = {name: work / name for name in COMMANDS}
     argvs = {
         "cluster": ["cluster", *common, "--out", str(outs["cluster"])],
@@ -104,12 +107,13 @@ def probe(manifest: Path, src: Path, work: Path) -> dict[str, tuple[float, float
                            "--out", str(outs["cluster_cached"])],
         "diversity": ["diversity", *common, "--out", str(outs["diversity"])],
     }
-    return {name: (*run(src, argvs[name]), digest(outs[name])) for name in COMMANDS}
+    return {name: (*run(src, argvs[name]), digest(outs[name])) for name in (COMMANDS[:1] if ged else COMMANDS)}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", default="600,2000", help="model counts, comma-separated")
+    parser.add_argument("--sizes", default="600,2000,ged:100",
+                        help="model counts, comma-separated; ged:N runs the ged cluster call on N models")
     parser.add_argument("--seed", type=int, default=7007)
     parser.add_argument("--repeat", type=int, default=1, help="calls of each command per tree and size")
     parser.add_argument("--src", action="append", default=[], metavar="LABEL=DIR",
@@ -119,24 +123,28 @@ def main(argv: list[str] | None = None) -> int:
     trees = dict(spec.split("=", 1) for spec in args.src) or {"here": str(HERE.parent / "src")}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(args.work or tmp)
-        result = {"seed": args.seed, "measure": "transition", "python": sys.version.split()[0], "sizes": {}}
-        for size in map(int, args.sizes.split(",")):
+        result = {"seed": args.seed, "measure": "transition; ged:N " + " ".join(GED_FLAGS[1:]),
+                  "python": sys.version.split()[0], "sizes": {}}
+        for spec in args.sizes.split(","):
+            ged = spec.startswith("ged:")
+            size = int(spec[4:] if ged else spec)
             root = work / f"n{size}"
             root.mkdir(parents=True, exist_ok=True)
             manifest = write_manifest(root, size, args.seed)
-            runs = {label: {name: {"wall_s": [], "peak_rss_mb": [], "digests": []} for name in COMMANDS}
-                    for label in trees}
+            runs = {label: {name: {"wall_s": [], "peak_rss_mb": [], "digests": []}
+                            for name in (COMMANDS[:1] if ged else COMMANDS)} for label in trees}
             for rep in range(args.repeat):
                 labels = list(trees)[::-1] if rep % 2 else list(trees)
                 for label in labels:
-                    for name, (wall, peak, sha) in probe(manifest, Path(trees[label]), root / label).items():
+                    out = root / (f"{label}-ged" if ged else label)
+                    for name, (wall, peak, sha) in probe(manifest, Path(trees[label]), out, ged).items():
                         runs[label][name]["wall_s"].append(round(wall, 3))
                         runs[label][name]["peak_rss_mb"].append(round(peak, 1))
                         runs[label][name]["digests"].append(sha)
             for by_command in runs.values():
                 for record in by_command.values():
                     record["digests"] = sorted(set(record["digests"]))
-            result["sizes"][str(size)] = runs
+            result["sizes"][spec] = runs
         result["probe_peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     print(json.dumps(result, indent=1))
     return 0

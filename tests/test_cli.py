@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -738,3 +739,86 @@ def test_package_exports_resolve_on_first_use():
     assert lpmgroup.RankedModelSet is lpmgroup.clustering.RankedModelSet
     with pytest.raises(AttributeError):
         lpmgroup.no_such_name
+
+
+SRC = Path(lpmgroup.__file__).resolve().parents[1]
+
+
+def _script_entry() -> list[str]:
+    """What the installed ``lpmgroup`` script runs: the ``[project.scripts]``
+    entry of pyproject.toml, called as pip's generated wrapper calls it."""
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, name = re.search(r'^lpmgroup = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return ["-c", f"import sys; from {module} import {name}; sys.exit({name}())"]
+
+
+ENTRY_POINTS = {"package": ["-m", "lpmgroup"], "module": ["-m", "lpmgroup.cli"], "script": _script_entry()}
+# how a command ended before the entry function: sys.exit(main()) and interpreter teardown
+SYS_EXIT_MAIN = ["-c", "import sys; from lpmgroup.cli import main; sys.exit(main())"]
+
+
+def _spawn(args, **kwargs) -> tuple[int, str, str, int]:
+    """Exit code, stdout and stderr text (None where not piped) and pid of ``python <args>``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout keeps what a command prints until it is flushed
+    with subprocess.Popen([sys.executable, *args], env=env, text=True, **kwargs) as proc:
+        out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err, proc.pid
+
+
+class TestEntryPoints:
+    """``python -m lpmgroup``, ``python -m lpmgroup.cli`` and the ``lpmgroup``
+    script end through ``cli.entry``: the exit code, text and files of
+    ``main`` in-process, and no interpreter teardown."""
+
+    @staticmethod
+    def commands(tmp_path) -> dict[int, list[str]]:
+        """A command per exit code; ``OUT`` stands for the output directory."""
+        (tmp_path / "varied").mkdir()
+        (tmp_path / "identical").mkdir()
+        varied, identical = varied_manifest(tmp_path / "varied"), identical_manifest(tmp_path / "identical")
+        return {
+            0: ["cluster", "--manifest", str(varied), "--measure", "ged", "--ged-budget", "200", "--workers", "2",
+                "--out", "OUT"],
+            1: ["cluster", "--manifest", str(tmp_path / "nope.json"), "--measure", "transition", "--out", "OUT"],
+            2: ["cluster", "--manifest", str(identical), "--measure", "transition", "--strict", "--out", "OUT"],
+        }
+
+    @staticmethod
+    def outputs(out: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+
+    def test_each_entry_ends_as_main_returns(self, tmp_path, capsys):
+        for code, argv in self.commands(tmp_path).items():
+            at_home = tmp_path / f"main-{code}"
+            assert main([str(at_home) if a == "OUT" else a for a in argv]) == code
+            text = capsys.readouterr()
+            for name, entry in ENTRY_POINTS.items():
+                out = tmp_path / f"{name}-{code}"
+                *ended, pid = _spawn([*entry, *(str(out) if a == "OUT" else a for a in argv)],
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+                assert ended == [code, text.out, text.err], name
+                assert self.outputs(out) == self.outputs(at_home), name
+                with pytest.raises(ProcessLookupError):  # no pair worker outlives the command
+                    os.killpg(pid, 0)
+        assert self.outputs(tmp_path / "main-0")  # the exit-0 command wrote its files
+
+    @pytest.mark.parametrize("stdout", ["closed", "unread pipe"])
+    def test_a_failing_flush_ends_as_sys_exit_does(self, tmp_path, stdout):
+        # validate's lines wait in the stdout buffer, so the entry's flush is
+        # the first write to fail
+        manifest = varied_manifest(tmp_path)
+        for argv in (["validate", "--manifest", str(manifest)], ["validate", "--manifest", str(tmp_path / "nope")]):
+            ends = []
+            for entry in [*ENTRY_POINTS.values(), SYS_EXIT_MAIN]:
+                if stdout == "closed":
+                    code, _, err, _ = _spawn([*entry, *argv], stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+                else:
+                    read_end, write_end = os.pipe()
+                    os.close(read_end)
+                    try:
+                        code, _, err, _ = _spawn([*entry, *argv], stdout=write_end, stderr=subprocess.PIPE)
+                    finally:
+                        os.close(write_end)
+                ends.append((code, err))
+            assert ends == [ends[-1]] * len(ends), argv

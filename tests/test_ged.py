@@ -1,19 +1,21 @@
 """Graph edit distance: spec values, oracle equality, budget behavior."""
 
 import random
+from itertools import combinations, compress
 
 import pytest
 
 from lpmgroup import (
+    GedResult,
     LabeledPetriNet,
     LocalProcessModel,
     Marking,
     ged_raw,
     similarity,
 )
-from lpmgroup.ged import _GedSearch
+from lpmgroup.ged import _GedSearch, _pair_input, ged_tables, search_key, searched
 from lpmgroup.measures import left_sum
-from genmodels import chain_lpm, random_lpm
+from genmodels import chain_lpm, random_lpm, skeleton_copies
 from oracles import oracle_ged
 
 EMPTY = Marking()
@@ -224,12 +226,17 @@ class TestGedRaw:
             assert got == [(*pin, n) for pin, n in zip(pins, expansions)], k
 
 
-class _RecordingSearch(_GedSearch):
-    """Records (idx, used, b_left, bound) at every bound memo miss."""
+def new_search(a, b, budget):
+    """The search of ``a`` against ``b``, in that orientation, from the two models' tables."""
+    return _GedSearch(*_pair_input(ged_tables(a), ged_tables(b), budget))
 
-    def __init__(self, *args):
+
+class _RecordingSearch(_GedSearch):
+    """The search of ``a`` against ``b``; records (idx, used, b_left, bound) at every bound memo miss."""
+
+    def __init__(self, a, b, budget):
         self.calls = []
-        super().__init__(*args)
+        super().__init__(*_pair_input(ged_tables(a), ged_tables(b), budget))
 
     def _lower_bound(self, idx, used, b_left):
         bound = super()._lower_bound(idx, used, b_left)
@@ -258,14 +265,36 @@ class TestSearchState:
         return sum(1 for v, x in b.net.arcs if not (used >> pos[v] & 1 and used >> pos[x] & 1))
 
     def test_unsettled_arc_count_matches_brute_force_on_every_mask(self):
+        """Using j after the nodes ``before`` settles the B arcs between j and
+        them: ``arcs[j]`` holds j's arc targets, then its sources shifted up by
+        n_b, and the search counts them against ``before`` in both halves."""
         for _, b, search in self.searches(seed=53, budget=1):
-            left = [self.arcs_left(b, used) for used in range(1 << search.n_b)]
-            for used in range(1, 1 << search.n_b):
-                for j in range(search.n_b):
+            n_b = search.n_b
+            left = [self.arcs_left(b, used) for used in range(1 << n_b)]
+            for used in range(1, 1 << n_b):
+                for j in range(n_b):
                     if used >> j & 1:  # reach used by using j last
                         before = used & ~(1 << j)
-                        step = search._candidates([], before, left[before], [j])[0]
-                        assert step[3:] == (used, left[used]), (b.id, used, j)
+                        settled = (search.arcs[j] & (before | before << n_b)).bit_count()
+                        assert left[before] - settled == left[used], (b.id, used, j)
+
+    def test_lower_bound_is_its_definition_on_every_mask(self):
+        """Per depth and used B nodes, the bound is the larger of two sums taken
+        left to right, each padded by the node count gap: every remaining A
+        node's least node cost among the unused B nodes, and the unused
+        columns' minima below the depth; plus the gap in unsettled arcs."""
+        for _, b, search in self.searches(seed=59, budget=1):
+            n_a, n_b = search.n_a, search.n_b
+            for used in range(1 << n_b):
+                unused, b_left = [not used >> j & 1 for j in range(n_b)], self.arcs_left(b, used)
+                for idx in range(n_a + 1):
+                    ra, rb = n_a - idx, sum(unused)
+                    node = float(ra + rb)
+                    if ra and rb:
+                        row = left_sum(min(compress(costs, unused)) for costs in search.ns[idx:]) + max(rb - ra, 0)
+                        node = max(row, left_sum(compress(search.col_min[idx], unused)) + max(ra - rb, 0))
+                    bound = node + abs(search.a_edges_rem[idx] - b_left)
+                    assert search._lower_bound(idx, used, b_left) == bound, (b.id, idx, used)
 
     @staticmethod
     def step_terms(search, decided, j):
@@ -291,7 +320,7 @@ class TestSearchState:
         for n in range(150):
             a = random_lpm(rng, f"a{n}", max_transitions=8, max_places=6)
             b = random_lpm(rng, f"b{n}", max_transitions=8, max_places=6)
-            search = _GedSearch(a, b, budget=0)
+            search = new_search(a, b, budget=0)
             for _ in range(10):
                 decided, used = [], 0
                 for _ in range(rng.randrange(search.n_a)):
@@ -299,7 +328,7 @@ class TestSearchState:
                     decided.append(l)
                     used |= 1 << l if l < search.n_b else 0
                 free = [j for j in range(search.n_b) if not used >> j & 1]
-                for step, _, j, _, _ in search._candidates(decided, used, 0, free)[:-1]:
+                for step, _, j in search._candidates(decided, free)[:-1]:
                     assert step == left_sum(self.step_terms(search, decided, j)), (a.id, decided, j)
 
     def test_two_unit_terms_are_two_adds(self):
@@ -309,13 +338,12 @@ class TestSearchState:
         rng = random.Random(1001)
         models = [random_lpm(rng, f"m{k}", max_transitions=8, max_places=6, silent_prob=0.2) for k in range(200)]
         a, b = models[30], models[153]
-        search = _GedSearch(a, b, budget=25_000)
+        search = new_search(a, b, budget=25_000)
         decided = [3, 6, 1]
         terms = self.step_terms(search, decided, 8)
         assert terms == [0.0, 0.16666666666666669, 1.0, 1.0]
         assert terms[1] + 1.0 + 1.0 != terms[1] + 2.0
-        used = sum(1 << l for l in decided)
-        assert search._candidates(decided, used, 0, [8])[0][0] == left_sum(terms)
+        assert search._candidates(decided, [8])[0][0] == left_sum(terms)
         assert (search.run().cost.hex(), ged_raw(b, a, 25_000).cost.hex()) == ("0x1.4aaaaaaaaaaabp+4",) * 2
 
     def test_memoized_bound_equals_a_fresh_recomputation_wherever_visited(self):
@@ -327,7 +355,7 @@ class TestSearchState:
             for idx, used, b_left, bound in search.calls:
                 assert b_left == self.arcs_left(b, used), (b.id, idx, used)
                 assert search.bounds[idx << search.n_b | used] == bound, (b.id, idx, used)
-            fresh = _GedSearch(a, b, budget=0)
+            fresh = new_search(a, b, budget=0)
             for key, bound in search.bounds.items():
                 idx, used = key >> search.n_b, key & ((1 << search.n_b) - 1)
                 assert fresh._lower_bound(idx, used, self.arcs_left(b, used)) == bound, (b.id, idx, used)
@@ -341,9 +369,62 @@ class TestSearchState:
         uncapped = [ged_raw(a, b, budget=3000) for a, b in pairs]
         monkeypatch.setattr("lpmgroup.ged._BOUND_MEMO_CAP", 16)
         assert [ged_raw(a, b, budget=3000) for a, b in pairs] == uncapped
-        search = _GedSearch(*pairs[0], budget=3000)
+        search = new_search(*pairs[0], budget=3000)
         search.run()
         assert len(search.bounds) == 16
+
+
+def fixed_lpm(model_id, places, arcs):
+    """A net of ``arcs`` with ``places``; every other node is a transition labeled ``<model_id>.<id>``."""
+    transitions = sorted({n for arc in arcs for n in arc} - set(places))
+    labels = {t: f"{model_id}.{t}" for t in transitions}
+    net = LabeledPetriNet(places=set(places), transitions=set(transitions), arcs=arcs, labels=labels)
+    return LocalProcessModel(id=model_id, net=net, initial=EMPTY, final=EMPTY)
+
+
+class TestSearchKey:
+    """``search_key`` holds everything the search of an oriented pair reads,
+    so pairs with equal keys, under any budget, have equal results."""
+
+    # x's places sort before p0, so x is side A against s and t; no label is
+    # shared, so both pairs have the same node costs, and s and t differ only
+    # in the source of p1
+    X = fixed_lpm("x", ["a0", "a1"], [("u0", "a0"), ("a0", "u1"), ("u1", "a1"), ("a1", "u2")])
+    S = fixed_lpm("s", ["p0", "p1"], [("t0", "p0"), ("p0", "t1"), ("t1", "p1"), ("p1", "t2")])
+    T = fixed_lpm("t", ["p0", "p1"], [("t0", "p0"), ("p0", "t1"), ("t0", "p1"), ("p1", "t2")])
+
+    def test_every_repeated_key_has_the_result_of_a_fresh_search(self):
+        rng = random.Random(71)
+        models = skeleton_copies(rng, 8, 2, max_transitions=6, max_places=4) + [self.X, self.S, self.T]
+        tables = {m.id: ged_tables(m) for m in models}
+        results, repeats = {}, 0
+        for budget in (40, 300):
+            for a, b in combinations(models, 2):
+                key = search_key(tables[a.id], tables[b.id], budget)
+                if key in results:
+                    repeats += 1
+                else:
+                    results[key] = searched(key)
+                assert results[key] == ged_raw(a, b, budget), (a.id, b.id, budget)
+        assert repeats >= 500
+
+    def test_b_arc_masks_tell_equal_node_costs_apart(self):
+        (ns_s, dirs_s, in_s, _), (ns_t, dirs_t, in_t, _) = (
+            search_key(ged_tables(self.X), ged_tables(b), 600) for b in (self.S, self.T))
+        assert (ns_s, dirs_s) == (ns_t, dirs_t) and in_s != in_t
+        assert ged_raw(self.X, self.S) != ged_raw(self.X, self.T)
+
+    def test_the_budget_tells_equal_pairs_apart(self):
+        rng = random.Random(37)
+        a = random_lpm(rng, "a", max_transitions=8, max_places=6)
+        b = random_lpm(rng, "b", max_transitions=8, max_places=6)
+        tight, loose = (search_key(ged_tables(a), ged_tables(b), budget) for budget in (5, 600))
+        assert tight[:3] == loose[:3] and searched(tight) != searched(loose)
+
+    def test_equal_nets_need_no_search(self):
+        a = chain_lpm("a", ["x", "y"])
+        assert search_key(ged_tables(a), ged_tables(chain_lpm("b", ["x", "y"])), 600) is None
+        assert searched(None) == ged_raw(a, a) == GedResult(0.0, True, 0)
 
 
 class TestSimGed:

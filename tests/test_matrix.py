@@ -6,6 +6,8 @@ import random
 import signal
 import sys
 import time
+from functools import lru_cache
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +27,7 @@ from lpmgroup import (
     similarity,
 )
 from lpmgroup.matrix import MEASURES, MeasureSpec, _quantized
-from genmodels import chain_lpm, random_lpm
+from genmodels import chain_lpm, random_lpm, skeleton_copies
 
 
 @pytest.fixture
@@ -403,3 +405,37 @@ class TestForkedPairs:
             signal.signal(signal.SIGALRM, previous)
         assert len(forks) == 1
         _no_child_left()
+
+
+@lru_cache(maxsize=1)
+def _ged_population(budget=300):
+    """27 models, 9 skeletons with two relabeled copies each, and every pair's per-pair ``ged_similarity``."""
+    from lpmgroup.ged import ged_similarity
+
+    models = skeleton_copies(random.Random(73), 9, 2, max_transitions=6, max_places=4)
+    return models, [ged_similarity(a, b, budget) for a, b in combinations(models, 2)]
+
+
+class TestGedPairKeys:
+    """``distance_matrix`` searches each distinct GED pair key once, and every
+    pair keeps the value and flag of its own search."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_pair_equals_its_own_search(self, forks, monkeypatch, workers):
+        from lpmgroup import ged
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        models, expected = _ged_population()
+        searched, key_similarity = [], ged.key_similarity
+        monkeypatch.setattr(ged, "key_similarity", lambda key: searched.append(key) or key_similarity(key))
+        matrix = distance_matrix(models, Measure.GED, MatrixParams(ged_budget=300, workers=workers))
+        cells = combinations(range(len(models)), 2)
+        assert [matrix.values[i][j].hex() for i, j in cells] == [_quantized(1.0 - sim).hex() for sim, _ in expected]
+        assert matrix.flags == bytes(not exact for _, exact in expected)
+        assert len(forks) == workers - 1
+        _no_child_left()
+        if workers == 1:  # children search their keys in their own memory
+            tables = [ged.ged_tables(m) for m in models]
+            keys = [ged.search_key(a, b, 300) for a, b in combinations(tables, 2)]
+            assert sorted(map(repr, searched)) == sorted(map(repr, set(keys)))
+            assert len(searched) < len(keys) // 3  # the planted copies repeat keys

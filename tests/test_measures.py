@@ -25,7 +25,7 @@ from lpmgroup import (
     sim_node,
     similarity,
 )
-from lpmgroup.ged import _GedSearch, _bordered
+from lpmgroup.ged import _GedSearch, _bordered, _pair_input, ged_tables
 from lpmgroup.matrix import _quantized
 from lpmgroup.measures import _lsap
 from genmodels import chain_lpm, random_lpm, self_loop_star, xor_lpm
@@ -186,7 +186,7 @@ class TestAssignmentSolver:
         for k in range(200):
             a = random_lpm(rng, f"a{k}", max_transitions=8, max_places=6)
             b = random_lpm(rng, f"b{k}", max_transitions=8, max_places=6)
-            search = _GedSearch(a, b, budget=1)
+            search = _GedSearch(*_pair_input(ged_tables(a), ged_tables(b), budget=1))
             cost = _bordered(search.ns, search.n_b)
             assert len(cost) == search.n_a + search.n_b
             assert _lsap(cost)[1] == linear_sum_assignment(np.array(cost))[1].tolist(), k
