@@ -11,22 +11,24 @@ returns the best mapping found so far, flagged approximate. The result
 counts the search nodes expanded and is independent of argument order: the
 pair is canonically oriented first.
 
-Each model's tables are built once (``ged_tables``): its nodes in
-``(-degree, id)`` order, the side A of a pair, with their arc directions to
-every earlier node, and in id order, the side B, with the bitmask of the
-nodes that have an arc into each; a node is its label, or its context if a
-place. A pair builds only its node-cost table ``ns`` from two of them.
-``search_key`` returns everything the search of an oriented pair reads:
-``ns``, A's arc directions, B's arc masks and the budget. Equal keys give
-equal results, so ``matrix.distance_matrix`` searches each distinct key
-once.
+Each model's tables are built once (``ged_tables``): its nodes (a label,
+or a place's context) in ``(-degree, id)`` order for the side A of a pair
+and in id order for the side B, and two label-free sides, one tuple each
+that all the model's keys share. The A side holds each A node's arc
+directions to every earlier node, the delete costs and the A arcs left per
+depth; the B side holds per B node the masks of the nodes with an arc into
+and out of it, the two as one arc mask, and the arc count. A pair builds
+only its node-cost table ``ns``; ``search_key`` returns everything the
+search of an oriented pair reads: ``ns``, A's side, B's side and the
+budget. Equal keys give equal results, so ``matrix.distance_matrix``
+searches each distinct key once.
 
-``_GedSearch`` compiles a key to lookup tables: per A node its delete cost
-and its distinct node costs in ascending order, each with the mask of the B
-nodes at that cost; the column minima of the node costs below each search
-depth; and a step-cost context per A node i, earlier A node k and B node l
-of k, (i -> k, k -> i, bit of l, node cost of k to l), with one more entry
-for a deleted k.
+``_GedSearch`` compiles only what the pair determines: per A node its
+distinct node costs in ascending order, each with the mask of the B nodes
+at that cost; the column minima of the node costs below each search depth;
+a step-cost context per A node i, earlier A node k and B node l of k,
+(i -> k, k -> i, bit of l, node cost of k to l), with one more entry for a
+deleted k; and the incumbent.
 The search is one loop over a stack of frames, one per decided depth: the
 rest of that node's sorted candidates (step cost, delete, B node), its
 prefix cost, the B nodes it leaves free, the used B nodes as one bitmask and
@@ -50,7 +52,7 @@ from operator import getitem
 from typing import NamedTuple
 
 from .measures import DEFAULT_GED_BUDGET, _lsap, context_gain
-from .petri import LabeledPetriNet, LocalProcessModel
+from .petri import LocalProcessModel
 
 # bound memo entries kept per pair, whatever the expansion budget
 _BOUND_MEMO_CAP = 1 << 16
@@ -65,12 +67,11 @@ class GedResult(NamedTuple):
 class GedTables(NamedTuple):
     """One model's GED tables; a node is its label, or its context if a place."""
 
-    fingerprint: tuple  # orients a pair, as measures._ordered does
-    net: LabeledPetriNet
+    fingerprint: tuple  # orients a pair, as measures._ordered does; [0] is the net's own key
     a_nodes: tuple  # the nodes in (-degree, id) order
-    a_dirs: tuple  # per A node i: (i -> k, k -> i) for every earlier node k
+    a_side: tuple  # (a_dirs, delete_cost, a_edges_rem) of _GedSearch
     b_nodes: tuple  # the nodes in id order
-    b_in: tuple  # per B node j: the bitmask of the nodes l with l -> j
+    b_side: tuple  # (b_in, b_out, arcs, n_arcs_b) of _GedSearch
 
 
 def ged_tables(model: LocalProcessModel) -> GedTables:
@@ -82,16 +83,27 @@ def ged_tables(model: LocalProcessModel) -> GedTables:
     pos_a = {u: i for i, u in enumerate(order)}
     pos_b = {v: j for j, v in enumerate(nodes)}
     arcs_a = {(pos_a[u], pos_a[w]) for u, w in net.arcs}
-    b_in = [0] * len(nodes)
+    # per A node i: (i -> k, k -> i) for every earlier node k
+    a_dirs = tuple(tuple(((i, k) in arcs_a, (k, i) in arcs_a) for k in range(i)) for i in range(len(order)))
+    arcs_to_earlier = [sum(ik + ki for ik, ki in dirs) for dirs in a_dirs]
+    # per B node j: the bitmasks of the nodes l with l -> j and with j -> l
+    n_b = len(nodes)
+    b_in, b_out = [0] * n_b, [0] * n_b
     for v, x in net.arcs:
         b_in[pos_b[x]] |= 1 << pos_b[v]
+        b_out[pos_b[v]] |= 1 << pos_b[x]
     return GedTables(
         fingerprint=model.fingerprint(),
-        net=net,
         a_nodes=tuple(node[u] for u in order),
-        a_dirs=tuple(tuple(((i, k) in arcs_a, (k, i) in arcs_a) for k in range(i)) for i in range(len(order))),
+        # deleting A node i also deletes its arcs to the earlier nodes; per
+        # depth idx, the A arcs still unaccounted once the first idx nodes are decided
+        a_side=(a_dirs, tuple(1.0 + arcs for arcs in arcs_to_earlier),
+                tuple(sum(arcs_to_earlier[idx:]) for idx in range(len(order) + 1))),
         b_nodes=tuple(node[v] for v in nodes),
-        b_in=tuple(b_in),
+        # arcs: per B node j, its arc targets, then its arc sources shifted up by n_b;
+        # here and in _GedSearch.bits, column n_b is the delete step, which uses no B node
+        b_side=(tuple(b_in), tuple(b_out), tuple(out_j | in_j << n_b for out_j, in_j in zip(b_out, b_in)) + (0,),
+                len(net.arcs)),
     )
 
 
@@ -108,40 +120,26 @@ def _node_costs(a_nodes: tuple, b_nodes: tuple) -> tuple[tuple[float, ...], ...]
 
 def _pair_input(a: GedTables, b: GedTables, budget: int) -> tuple:
     """The search input of ``a`` against ``b``, in that orientation."""
-    return _node_costs(a.a_nodes, b.b_nodes), a.a_dirs, b.b_in, budget
+    return _node_costs(a.a_nodes, b.b_nodes), a.a_side, b.b_side, budget
 
 
 def search_key(a: GedTables, b: GedTables, budget: int) -> tuple | None:
     """Everything the search of the oriented pair reads, or None when the nets are equal."""
     if b.fingerprint < a.fingerprint:
         a, b = b, a
-    return None if a.net == b.net else _pair_input(a, b, budget)
+    return None if a.fingerprint[0] == b.fingerprint[0] else _pair_input(a, b, budget)
 
 
 class _GedSearch:
-    def __init__(self, ns: tuple, a_dirs: tuple, b_in: tuple, budget: int):
-        self.ns, self.a_dirs, self.b_in, self.budget = ns, a_dirs, b_in, budget
-        self.n_a, self.n_b = n_a, n_b = len(a_dirs), len(b_in)
-        # per B node j: the bitmask of the nodes l with j -> l, b_in transposed
-        self.b_out = [0] * n_b
-        for x, sources in enumerate(b_in):
-            while sources:
-                low = sources & -sources
-                self.b_out[low.bit_length() - 1] |= 1 << x
-                sources ^= low
-        self.n_arcs_b = sum(map(int.bit_count, b_in))
-        # per B node j: its arc targets, then its arc sources shifted up by n_b;
-        # here and in ``bits``, column n_b is the delete step, which uses no B node
-        self.arcs = [out_j | in_j << n_b for out_j, in_j in zip(self.b_out, b_in)] + [0]
-        arcs_to_earlier = [sum(ik + ki for ik, ki in dirs) for dirs in a_dirs]
-        # deleting A node i also deletes its arcs to the earlier nodes
-        self.delete_cost = [1.0 + arcs for arcs in arcs_to_earlier]
-        # A-edges still unaccounted once the first idx nodes are decided
-        self.a_edges_rem = [sum(arcs_to_earlier[idx:]) for idx in range(n_a + 1)]
+    def __init__(self, ns: tuple, a_side: tuple, b_side: tuple, budget: int):
+        self.ns, self.budget = ns, budget
+        self.a_dirs, self.delete_cost, self.a_edges_rem = a_side
+        self.b_in, self.b_out, self.arcs, self.n_arcs_b = b_side
+        self.n_a, self.n_b = n_a, n_b = len(self.a_dirs), len(self.b_in)
         # step-cost context of A node i against earlier node k mapped to B node
         # l, ctx[i][k][l] = (a_ik, a_ki, 1 << l, ns[k][l]); column n_b: k deleted
         self.ctx = [[[(ik, ki, 1 << l, ns_kl) for l, ns_kl in enumerate(ns_k)] + [(ik, ki, 0, 0.0)]
-                     for (ik, ki), ns_k in zip(dirs, ns)] for dirs in a_dirs]
+                     for (ik, ki), ns_k in zip(dirs, ns)] for dirs in self.a_dirs]
         # per depth idx: the minimum of each node-cost column over rows idx..
         self.col_min = [list(map(min, zip(*ns[idx:]))) for idx in range(n_a)]
         self.bits = [1 << j for j in range(n_b)] + [0]

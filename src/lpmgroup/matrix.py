@@ -12,11 +12,12 @@ the calling one included, at most one per CPU this process may run on. A
 measure whose spec has a ``key`` step (``ged``) gets every pair's key
 first; the distinct keys are split instead, each solved once, and every pair
 takes the result of its key. The extra processes are forked children: they
-inherit the features and loaded modules, compute their stride and send the
-results back over a pipe with ``marshal``, which keeps every float
-bit-exact. Where ``os.fork`` does not exist, the pairs run in the calling
-process. A child holds only the forking thread, so a caller that runs other
-threads keeps ``workers`` at 1.
+inherit the features and the modules featurizing loaded (``lpmgroup.ged``
+for ``ged``), compute their stride and send the results back over a pipe
+with ``marshal``, which keeps every float bit-exact. Where ``os.fork``
+does not exist, the pairs run in the calling process. A child holds only
+the forking thread, so a caller that runs other threads keeps ``workers``
+at 1.
 Matrices are identical regardless of worker count or scheduling.
 """
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 import marshal
 import os
 from functools import partial, reduce
-from importlib import import_module
 from itertools import chain, combinations, islice
 from operator import add
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
@@ -167,13 +167,13 @@ class MeasureSpec(NamedTuple):
     """How one measure turns models into features and feature pairs into a similarity.
 
     Both steps also return an approximation flag; a pair is approximate when
-    either feature or the comparison is.
+    either feature or the comparison is. ``featurize`` runs before any fork,
+    so the children inherit the modules it imports.
     """
 
     featurize: Callable[[LocalProcessModel, MatrixParams], tuple[object, bool]]
     compare: Callable[[object, object, MatrixParams], tuple[float, bool]]
     reads: tuple[str, ...]  # the MatrixParams fields the measure depends on
-    loads: str | None = None  # a module the steps import on first use, loaded once before any fork
     # Optional split of compare into key(fa, fb, params), a hashable holding
     # all the comparison reads, and solve(key) -> (similarity, approx):
     # distance_matrix computes every pair's key before it forks and solves
@@ -238,7 +238,7 @@ MEASURES: dict[Measure, MeasureSpec] = {
     Measure.NODE: MeasureSpec(_model, _exact(sim_node), ()),
     Measure.EFG: MeasureSpec(_ef, _exact(dice), ("bound", "enum_cap")),
     Measure.FULL: MeasureSpec(_traces, _exact(_full_from_traces), ("bound", "lang_cap", "enum_cap")),
-    Measure.GED: MeasureSpec(_ged_tables, _ged, ("ged_budget",), loads=".ged", key=_ged_key, solve=_ged_solve),
+    Measure.GED: MeasureSpec(_ged_tables, _ged, ("ged_budget",), key=_ged_key, solve=_ged_solve),
 }
 
 
@@ -401,8 +401,6 @@ def distance_matrix(
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate model ids in the input set")
     spec = MEASURES[measure]
-    if spec.loads:
-        import_module(spec.loads, __package__)  # once here, not once per forked child
     features = [spec.featurize(m, params) for m in models]
     if spec.key is None:
         stride = partial(_stride, spec.compare, features, params)

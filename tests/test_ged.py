@@ -10,12 +10,13 @@ from lpmgroup import (
     LabeledPetriNet,
     LocalProcessModel,
     Marking,
+    distance_matrix,
     ged_raw,
     similarity,
 )
 from lpmgroup.ged import _GedSearch, _pair_input, ged_tables, search_key, searched
 from lpmgroup.measures import left_sum
-from genmodels import chain_lpm, random_lpm, skeleton_copies
+from genmodels import chain_lpm, random_lpm, relabeled, skeleton_copies
 from oracles import oracle_ged
 
 EMPTY = Marking()
@@ -409,9 +410,9 @@ class TestSearchKey:
         assert repeats >= 500
 
     def test_b_arc_masks_tell_equal_node_costs_apart(self):
-        (ns_s, dirs_s, in_s, _), (ns_t, dirs_t, in_t, _) = (
+        (ns_s, a_side_s, b_side_s, _), (ns_t, a_side_t, b_side_t, _) = (
             search_key(ged_tables(self.X), ged_tables(b), 600) for b in (self.S, self.T))
-        assert (ns_s, dirs_s) == (ns_t, dirs_t) and in_s != in_t
+        assert (ns_s, a_side_s) == (ns_t, a_side_t) and b_side_s != b_side_t
         assert ged_raw(self.X, self.S) != ged_raw(self.X, self.T)
 
     def test_the_budget_tells_equal_pairs_apart(self):
@@ -425,6 +426,29 @@ class TestSearchKey:
         a = chain_lpm("a", ["x", "y"])
         assert search_key(ged_tables(a), ged_tables(chain_lpm("b", ["x", "y"])), 600) is None
         assert searched(None) == ged_raw(a, a) == GedResult(0.0, True, 0)
+
+    def test_equal_nets_under_other_markings_need_no_search(self):
+        """Only the nets are compared: ``fingerprint[0]``, not the whole fingerprint."""
+        a = chain_lpm("a", ["x", "y"])
+        for initial, final in ((Marking(["p0"]), EMPTY), (EMPTY, Marking(["p0"]))):
+            b = LocalProcessModel(id="b", net=a.net, initial=initial, final=final)
+            assert b.fingerprint() != a.fingerprint()
+            assert search_key(ged_tables(a), ged_tables(b), 600) is None
+            assert ged_raw(a, b) == GedResult(0.0, True, 0)
+            matrix = distance_matrix([a, b], "ged")
+            assert matrix.values[0][1] == 0.0 and matrix.flags == b"\0"
+
+    def test_sides_are_label_free_and_shared_by_every_key(self):
+        """A relabeled copy has its original's sides; against a model that
+        shares labels with the original only, the two keys differ in ``ns`` alone."""
+        copy = relabeled(self.S, "r")
+        s, r = ged_tables(self.S), ged_tables(copy)
+        assert (s.a_side, s.b_side) == (r.a_side, r.b_side) and s.b_nodes != r.b_nodes
+        # X's skeleton under S's labels: its places sort first, so it is side A against both
+        third = ged_tables(fixed_lpm("s", ["a0", "a1"], [("t0", "a0"), ("a0", "t1"), ("t1", "a1"), ("a1", "t2")]))
+        key_s, key_r = (search_key(third, b, 600) for b in (s, r))
+        assert key_s[0] != key_r[0] and key_s[1:] == key_r[1:]
+        assert key_s[1] is key_r[1] is third.a_side and key_s[2] is s.b_side and key_r[2] is r.b_side
 
 
 class TestSimGed:
