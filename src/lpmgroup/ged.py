@@ -24,22 +24,21 @@ budget. Equal keys give equal results, so ``matrix.distance_matrix``
 searches each distinct key once.
 
 ``_GedSearch`` compiles only what the pair determines: per A node its
-distinct node costs in ascending order, each with the mask of the B nodes
-at that cost; the column minima of the node costs below each search depth;
-a step-cost context per A node i, earlier A node k and B node l of k,
-(i -> k, k -> i, bit of l, node cost of k to l), with one more entry for a
-deleted k; and the incumbent.
+(node cost, B node bit) pairs in ascending order; the column minima of the
+node costs below each search depth; a step-cost context per A node i,
+earlier A node k and B node l of k, (i -> k, k -> i, bit of l, node cost of
+k to l), with one more entry for a deleted k; and the incumbent.
 The search is one loop over a stack of frames, one per decided depth: the
-rest of that node's sorted candidates (step cost, delete, B node), its
-prefix cost, the B nodes it leaves free, the used B nodes as one bitmask and
-the count of B arcs not between two used nodes. A candidate's used nodes and
-arc count are worked out when it is expanded. Nets are bipartite, so that
-count, and with it the lower bound, depends on the depth and the used B
-nodes alone: the bound is memoized on that key, up to a fixed number of
-entries per pair, and a cached bound is the very float a recomputation
-gives. A complete mapping is settled from the B nodes and arcs it still has
-to insert. One routine builds the candidates, for the search and the seeded
-incumbent alike.
+rest of that node's sorted steps (step cost, B node; B node n_b deletes),
+its prefix cost, the B nodes it leaves free, the used B nodes as one
+bitmask and the count of B arcs not between two used nodes. A step's used
+nodes and arc count are worked out when it is expanded. Nets are
+bipartite, so that count, and with it the lower bound, depends on the depth
+and the used B nodes alone: the bound is memoized on that key, up to a
+fixed number of entries per pair, and a cached bound is the very float a
+recomputation gives. A step that decides A's last node completes a mapping,
+which is settled from the B nodes and arcs it still has to insert. One
+routine builds the steps, for the search and the seeded incumbent alike.
 
 The incumbent comes from a node-cost-optimal assignment, solved by
 ``measures._lsap``: the package's one assignment solver, which ``node`` and
@@ -143,13 +142,8 @@ class _GedSearch:
         # per depth idx: the minimum of each node-cost column over rows idx..
         self.col_min = [list(map(min, zip(*ns[idx:]))) for idx in range(n_a)]
         self.bits = [1 << j for j in range(n_b)] + [0]
-        # per A node: its distinct node costs, ascending, each with the mask of the B nodes at that cost
-        self.levels = []
-        for ns_i in ns:
-            masks: dict[float, int] = {}
-            for j, cost in enumerate(ns_i):
-                masks[cost] = masks.get(cost, 0) | 1 << j
-            self.levels.append(sorted(masks.items()))
+        # per A node: (node cost, bit of the B node), ascending
+        self.row_costs = [sorted(zip(ns_i, self.bits)) for ns_i in ns]
         self.bounds: dict[int, float] = {}  # _lower_bound by (idx << n_b) | used
         # fallback: delete everything in A, insert everything in B; a
         # node-cost-optimal assignment (edges ignored) is usually far tighter
@@ -173,17 +167,17 @@ class _GedSearch:
         """Bound on the cost to come after A's first idx nodes, kept in ``bounds``.
 
         Its sums add left to right, as ``measures.left_sum`` does: the least
-        cost of each remaining A node among the unused B nodes (its first
-        level with an unused node), and the column minima of the unused B
-        nodes.
+        cost of each remaining A node among the unused B nodes (the first
+        unused node in its ``row_costs``), and the column minima of the
+        unused B nodes.
         """
         unused = ((1 << self.n_b) - 1) & ~used
         ra, rb = self.n_a - idx, unused.bit_count()
         if ra and rb:
             row = col = 0.0
-            for levels in self.levels[idx:]:
-                for cost, nodes in levels:
-                    if nodes & unused:
+            for costs in self.row_costs[idx:]:
+                for cost, bit in costs:
+                    if bit & unused:
                         row += cost
                         break
             for cost, bit in zip(self.col_min[idx], self.bits):
@@ -201,8 +195,8 @@ class _GedSearch:
 
     def _candidates(self, decided: list[int], js: list[int]) -> list[tuple]:
         """The steps deciding A's next node i: mapping it to each B node j in
-        js, then deleting it, as (step cost, 0 | 1 for delete, j). A step costs
-        i's node cost, then the arcs between i and each decided node k, in k
+        js, then deleting it (j = n_b), as (step cost, j). A step costs i's
+        node cost, then the arcs between i and each decided node k, in k
         order; ``bit_l`` is 0 when k is deleted."""
         i = len(decided)
         ns_i, b_out, b_in = self.ns[i], self.b_out, self.b_in
@@ -223,12 +217,12 @@ class _GedSearch:
                     cost += 0.5 * (ns_ij + ns_kl) if in_j & bit_l else 1.0
                 elif in_j & bit_l:
                     cost += 1.0
-            steps.append((cost, 0, j))
-        steps.append((self.delete_cost[i], 1, self.n_b))
+            steps.append((cost, j))
+        steps.append((self.delete_cost[i], self.n_b))
         return steps
 
     def run(self) -> GedResult:
-        """Depth first, candidates by step cost, then map before delete, then B id order."""
+        """Depth first, steps by step cost, then B id order (the delete, n_b, last)."""
         n_a, n_b, budget, bounds = self.n_a, self.n_b, self.budget, self.bounds
         arcs, bits = self.arcs, self.bits
         candidates, lower_bound = self._candidates, self._lower_bound
@@ -241,26 +235,18 @@ class _GedSearch:
             rest, cost, free, used, b_left = stack[-1]
             idx = len(stack)  # A nodes decided after the step
             used2 = used | used << n_b  # used under both halves of arcs[j]
-            if idx == n_a:  # complete mappings: B's unused nodes and unsettled arcs are inserted
-                n_free = len(free) - 1
-                for step, delete, j in rest:
-                    if expansions >= budget:
-                        return GedResult(cost=best, exact=False, expansions=expansions)
-                    expansions += 1
-                    new_cost = cost + step
-                    to_insert = n_free + delete
-                    new_left = b_left - (arcs[j] & used2).bit_count()
-                    if new_cost + (to_insert + new_left) < best:
-                        best = min(best, new_cost + to_insert + new_left)
-                stack.pop()
-                del decided[-1:]
-                continue
-            for step, delete, j in rest:
+            for step, j in rest:
                 if expansions >= budget:
                     return GedResult(cost=best, exact=False, expansions=expansions)
                 expansions += 1
                 new_cost = cost + step
                 new_used = used | bits[j]
+                if idx == n_a:  # a complete mapping: B's unused nodes and unsettled arcs are inserted
+                    to_insert = n_b - new_used.bit_count()
+                    new_left = b_left - (arcs[j] & used2).bit_count()
+                    if new_cost + (to_insert + new_left) < best:
+                        best = min(best, new_cost + to_insert + new_left)
+                    continue
                 bound = bounds.get(idx << n_b | new_used)
                 if bound is None or new_cost + bound < best:
                     # using j settles B's arcs between j and the used nodes
@@ -269,12 +255,12 @@ class _GedSearch:
                         bound = lower_bound(idx, new_used, new_left)
                     if new_cost + bound < best:
                         decided.append(j)
-                        if not delete:
+                        if j < n_b:
                             free = free.copy()
                             free.remove(j)
                         stack.append((iter(sorted(candidates(decided, free))), new_cost, free, new_used, new_left))
                         break
-            else:  # every candidate tried: back to the parent frame
+            else:  # every step tried: back to the parent frame
                 stack.pop()
                 del decided[-1:]
         return GedResult(cost=best, exact=True, expansions=expansions)
@@ -296,11 +282,6 @@ def _bordered(ns: tuple, n_b: int) -> list[list[float]]:
     return big
 
 
-def searched(key: tuple | None) -> GedResult:
-    """The search result of a ``search_key``."""
-    return GedResult(cost=0.0, exact=True) if key is None else _GedSearch(*key).run()  # identity mapping is free
-
-
 def key_similarity(key: tuple | None) -> tuple[float, bool]:
     """Similarity 1 - cost/(size(a)+size(b)) of a ``search_key`` and exactness; no clamp: the cost starts at size(a)+size(b), only falls."""
     if key is None:
@@ -312,7 +293,8 @@ def key_similarity(key: tuple | None) -> tuple[float, bool]:
 
 def ged_raw(a: LocalProcessModel, b: LocalProcessModel, budget: int = DEFAULT_GED_BUDGET) -> GedResult:
     """Minimal edit cost between two models (exact flag tells if proven)."""
-    return searched(search_key(ged_tables(a), ged_tables(b), budget))
+    key = search_key(ged_tables(a), ged_tables(b), budget)
+    return GedResult(cost=0.0, exact=True) if key is None else _GedSearch(*key).run()  # identity mapping is free
 
 
 def ged_similarity(a: LocalProcessModel, b: LocalProcessModel, budget: int = DEFAULT_GED_BUDGET) -> tuple[float, bool]:

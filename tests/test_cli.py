@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import lpmgroup
 from lpmgroup import LocalProcessModel, Measure, write_pnml
 from lpmgroup.cli import main
-from genmodels import chain_lpm, planted_groups, random_lpm, self_loop_star, with_isolated_transition
+from genmodels import chain_lpm, planted_groups, random_lpm, self_loop_star, skeleton_copies, with_isolated_transition
 
 
 def write_manifest(tmp_path, models, extra=None, by_position=False):
@@ -295,9 +295,11 @@ class TestDiversity:
 
 class TestGoldenBytes:
     """The sha256 of every file ``matrix``, ``cluster``, ``cluster --matrix``
-    and ``diversity`` write on one small manifest: planted groups plus a star
-    whose language exceeds the enumeration cap, so the flags file is written
-    too. A curve point at n = 1 puts empty cells and nulls into the reports."""
+    and ``diversity`` write under ``efg`` on one small manifest: planted
+    groups plus a star whose language exceeds the enumeration cap, so the
+    flags file is written too. A curve point at n = 1 puts empty cells and
+    nulls into the reports. Then the files a ``ged`` ``cluster`` writes at
+    one and two workers, and the same bytes under other interpreters."""
 
     DIGESTS = {
         "matrix/matrix_efg.csv": "47cb5eac686745f7e0f07b6a1dd31f90eedaa0f626e9197baa045a50d34c928d",
@@ -314,10 +316,12 @@ class TestGoldenBytes:
         "diversity/report.json": "69fc5bc73cbf234ca84b7a216460a2cd2013e5624e928fd320de5674e8e350ab",
     }
 
+    @staticmethod
+    def efg_manifest(tmp_path):
+        return write_manifest(tmp_path, [*planted_groups(groups=2, copies=7).models, self_loop_star(4)])
+
     def test_every_output_file_is_pinned(self, tmp_path):
-        models = [*planted_groups(groups=2, copies=7).models, self_loop_star(4)]
-        manifest = write_manifest(tmp_path, models)
-        common = ["--manifest", str(manifest), "--measure", "efg", "--enum-cap", "50"]
+        common = ["--manifest", str(self.efg_manifest(tmp_path)), "--measure", "efg", "--enum-cap", "50"]
         runs = {
             "matrix": ["matrix"],
             "cluster": ["cluster"],
@@ -332,6 +336,81 @@ class TestGoldenBytes:
             for path in sorted((tmp_path / name).iterdir())
         }
         assert digests == self.DIGESTS
+
+    GED_DIGESTS = {
+        "matrix_ged.csv": "69f89764835507b342c7ed562e38fd7c2edba815868d8e78128ba33df021dd01",
+        "matrix_ged_approx.csv": "83173b25a55bb5089e37fbc0e0811aecd4ebeb8eaf350cb1fc3fc865cdaf0c5e",
+        "clusters.csv": "d24f21ab6b077c04d964850bc102b5caa866a164028d4eb3ec6697387ba7aa44",
+        "sweep.json": "885768546ab1d2a9ab9a8e2d0930c2a2838f324b09885962c742c44dbc67a3d7",
+    }
+
+    @staticmethod
+    def ged_manifest(tmp_path):
+        """Three random skeletons, each with two relabeled copies: 36 pairs
+        with repeated search inputs, 16 of them approximate at budget 600."""
+        return write_manifest(tmp_path, skeleton_copies(random.Random(3), 3, 2))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_ged_cluster_is_pinned(self, tmp_path, workers):
+        argv = ["cluster", "--manifest", str(self.ged_manifest(tmp_path)), "--measure", "ged", "--ged-budget", "600"]
+        assert main([*argv, "--workers", workers, "--out", str(tmp_path / "out")]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (tmp_path / "out").iterdir()}
+        assert digests == self.GED_DIGESTS
+
+    @staticmethod
+    def other_interpreters() -> dict[str, str]:
+        """Every CPython >= 3.10 other than this one that starts, found on
+        PATH or beside ``sys.executable`` in a pyenv-style ``versions``
+        directory: its version by its resolved ``sys.executable``."""
+        names = ["python3", *(f"python3.{minor}" for minor in range(10, 20))]
+        candidates = [Path(d) / name for d in os.environ.get("PATH", "").split(os.pathsep) if d for name in names]
+        versions = Path(sys.executable).parents[2]
+        if versions.name == "versions":
+            candidates += sorted(versions.glob("*/bin/python3"))
+        probe = "import sys; print(sys.implementation.name, sys.version_info >= (3, 10), sys.version.split()[0], sys.executable)"
+        found, own = {}, os.path.realpath(sys.executable)
+        for path in dict.fromkeys(c for c in candidates if c.is_file() and os.access(c, os.X_OK)):
+            try:
+                done = subprocess.run([str(path), "-c", probe], capture_output=True, text=True, timeout=30)
+            except (OSError, subprocess.TimeoutExpired):
+                continue
+            fields = done.stdout.split(maxsplit=3) if done.returncode == 0 else []
+            if fields[:2] == ["cpython", "True"] and os.path.realpath(fields[3].strip()) != own:
+                found.setdefault(os.path.realpath(fields[3].strip()), fields[2])
+        return found
+
+    def test_every_interpreter_writes_the_same_bytes(self, tmp_path):
+        """``cluster`` and ``diversity`` on the efg manifest above, and the ged
+        ``cluster``, write the same bytes under every CPython found as in this
+        one: float sums that must not follow ``sum``'s rounding (Python 3.12
+        changed it) go through ``measures.left_sum``."""
+        interpreters = self.other_interpreters()
+        if not interpreters:
+            pytest.skip("no other CPython >= 3.10 found")
+        efg = ["--manifest", str(self.efg_manifest(tmp_path)), "--measure", "efg", "--enum-cap", "50"]
+        (tmp_path / "ged").mkdir()
+        runs = {
+            "cluster": ["cluster", *efg],
+            "diversity": ["diversity", *efg, "--ns", "3,6", "--curve-ns", "1,4,15"],
+            "ged": ["cluster", "--manifest", str(self.ged_manifest(tmp_path / "ged")), "--measure", "ged",
+                    "--ged-budget", "600"],
+        }
+
+        def digests(out: Path) -> dict[str, str]:
+            return {f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+                    for name in runs for path in sorted((out / name).iterdir())}
+
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / "here" / name)]) == 0
+        want = digests(tmp_path / "here")
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+        for k, (exe, version) in enumerate(sorted(interpreters.items())):
+            out = tmp_path / f"other{k}"
+            for name, argv in runs.items():
+                done = subprocess.run([exe, "-m", "lpmgroup.cli", *argv, "--out", str(out / name)],
+                                      env=env, capture_output=True, text=True, timeout=300)
+                assert done.returncode == 0, (version, exe, done.stderr)
+            assert digests(out) == want, (version, exe)
 
 
 class TestRender:

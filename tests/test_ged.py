@@ -14,7 +14,7 @@ from lpmgroup import (
     ged_raw,
     similarity,
 )
-from lpmgroup.ged import _GedSearch, _pair_input, ged_tables, search_key, searched
+from lpmgroup.ged import _GedSearch, _pair_input, ged_tables, search_key
 from lpmgroup.measures import left_sum
 from genmodels import chain_lpm, random_lpm, relabeled, skeleton_copies
 from oracles import oracle_ged
@@ -329,7 +329,7 @@ class TestSearchState:
                     decided.append(l)
                     used |= 1 << l if l < search.n_b else 0
                 free = [j for j in range(search.n_b) if not used >> j & 1]
-                for step, _, j in search._candidates(decided, free)[:-1]:
+                for step, j in search._candidates(decided, free)[:-1]:
                     assert step == left_sum(self.step_terms(search, decided, j)), (a.id, decided, j)
 
     def test_two_unit_terms_are_two_adds(self):
@@ -405,7 +405,7 @@ class TestSearchKey:
                 if key in results:
                     repeats += 1
                 else:
-                    results[key] = searched(key)
+                    results[key] = _GedSearch(*key).run()
                 assert results[key] == ged_raw(a, b, budget), (a.id, b.id, budget)
         assert repeats >= 500
 
@@ -420,12 +420,12 @@ class TestSearchKey:
         a = random_lpm(rng, "a", max_transitions=8, max_places=6)
         b = random_lpm(rng, "b", max_transitions=8, max_places=6)
         tight, loose = (search_key(ged_tables(a), ged_tables(b), budget) for budget in (5, 600))
-        assert tight[:3] == loose[:3] and searched(tight) != searched(loose)
+        assert tight[:3] == loose[:3] and _GedSearch(*tight).run() != _GedSearch(*loose).run()
 
     def test_equal_nets_need_no_search(self):
         a = chain_lpm("a", ["x", "y"])
         assert search_key(ged_tables(a), ged_tables(chain_lpm("b", ["x", "y"])), 600) is None
-        assert searched(None) == ged_raw(a, a) == GedResult(0.0, True, 0)
+        assert ged_raw(a, a) == GedResult(0.0, True, 0)
 
     def test_equal_nets_under_other_markings_need_no_search(self):
         """Only the nets are compared: ``fingerprint[0]``, not the whole fingerprint."""
