@@ -20,14 +20,12 @@ _EXPORTS = {
     "clustering": "DEFAULT_THRESHOLDS ClusteringParams ClusterSet Dendrogram MergeStep SweepResult "
     "ThresholdOutcome agglomerate check_partition repr_dist repr_rank representatives silhouette sweep",
     "exports": "export_clusters export_dot export_matrix export_reports export_sweep load_matrix",
-    "ged": "GedResult ged_raw ged_similarity",
+    "ged": "GedResult ged_similarity",
     "manifest": "LoadedModels Manifest ManifestEntry ManifestError RankedModelSet load_manifest read_manifest",
     "matrix": "DistanceMatrix MatrixParams distance distance_matrix similarity",
-    "measures": "DEFAULT_GED_BUDGET DEFAULT_LANG_CAP Assignment Measure dice levenshtein "
-    "normalized_levenshtein optimal_assignment place_gain sim_node",
+    "measures": "DEFAULT_GED_BUDGET DEFAULT_LANG_CAP Assignment Measure dice levenshtein optimal_assignment",
     "petri": "DEFAULT_BOUND DEFAULT_ENUM_CAP SILENT BoundedLanguage LabeledPetriNet LocalProcessModel "
-    "Marking NetStructureError ValidationReport bounded_language ef_relation eventually_follows "
-    "unrestricted_transitions validate_lpm",
+    "Marking NetStructureError ValidationReport bounded_language ef_relation eventually_follows validate_lpm",
     "pnml": "PnmlError parse_pnml parse_pnml_file write_pnml",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

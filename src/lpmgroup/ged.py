@@ -66,7 +66,7 @@ class GedResult(NamedTuple):
 class GedTables(NamedTuple):
     """One model's GED tables; a node is its label, or its context if a place."""
 
-    fingerprint: tuple  # orients a pair, as measures._ordered does; [0] is the net's own key
+    fingerprint: tuple  # orients a pair, as in the node kernel; [0] is the net's own key
     a_nodes: tuple  # the nodes in (-degree, id) order
     a_side: tuple  # (a_dirs, delete_cost, a_edges_rem) of _GedSearch
     b_nodes: tuple  # the nodes in id order

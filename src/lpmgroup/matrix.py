@@ -36,9 +36,9 @@ from .measures import (
     DEFAULT_LANG_CAP,
     Measure,
     _full_from_traces,
+    _node_from_places,
     capped_traces,
     dice,
-    sim_node,
 )
 from .petri import (
     DEFAULT_BOUND,
@@ -182,12 +182,14 @@ class MeasureSpec(NamedTuple):
     solve: Callable[[Hashable], tuple[float, bool]] | None = None
 
 
-def _model(model: LocalProcessModel, params: MatrixParams) -> tuple[object, bool]:
-    return model, False
-
-
 def _labels(model: LocalProcessModel, params: MatrixParams) -> tuple[object, bool]:
     return model.net.activity_labels(), False
+
+
+def _node(model: LocalProcessModel, params: MatrixParams) -> tuple[object, bool]:
+    """The fingerprint, which orients a pair, the activity labels and the place contexts in sorted place order."""
+    net = model.net
+    return (model.fingerprint(), net.activity_labels(), tuple(map(net.context, sorted(net.places)))), False
 
 
 def _ef(model: LocalProcessModel, params: MatrixParams) -> tuple[object, bool]:
@@ -235,7 +237,7 @@ def _ged(fa, fb, params: MatrixParams) -> tuple[float, bool]:
 
 MEASURES: dict[Measure, MeasureSpec] = {
     Measure.TRANSITION: MeasureSpec(_labels, _exact(dice), ()),
-    Measure.NODE: MeasureSpec(_model, _exact(sim_node), ()),
+    Measure.NODE: MeasureSpec(_node, _exact(_node_from_places), ()),
     Measure.EFG: MeasureSpec(_ef, _exact(dice), ("bound", "enum_cap")),
     Measure.FULL: MeasureSpec(_traces, _exact(_full_from_traces), ("bound", "lang_cap", "enum_cap")),
     Measure.GED: MeasureSpec(_ged_tables, _ged, ("ged_budget",), key=_ged_key, solve=_ged_solve),

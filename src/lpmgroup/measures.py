@@ -2,9 +2,10 @@
 
 All measures map a model pair into [0, 1] and are symmetric; distances are
 one minus the similarity. Dice-style overlaps of two empty sets score 1
-(identically empty behavior), of one empty set 0. Which kernel serves which
-measure, and on which per-model features, is the ``MEASURES`` table in
-``matrix.py``; ``similarity`` and ``distance`` live there too.
+(identically empty behavior), of one empty set 0. A kernel compares two
+per-model features and never sees a model: the featurizers, which kernel
+serves which measure, and ``similarity``/``distance`` are in ``matrix.py``
+(its ``MEASURES`` table).
 
 ``node`` matches places and ``full`` matches traces by a maximum-gain
 assignment (``optimal_assignment``), and ``ged`` seeds its search with a
@@ -21,7 +22,7 @@ from functools import reduce
 from operator import add
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
-from .petri import BoundedLanguage, LabeledPetriNet, LocalProcessModel, Trace
+from .petri import BoundedLanguage, Trace
 
 DEFAULT_LANG_CAP = 1000
 DEFAULT_GED_BUDGET = 1_000_000
@@ -177,37 +178,28 @@ def _lsap(cost: list[list[float]]) -> tuple[list[int], list[int]]:
     return list(range(nr)), col4row
 
 
-def _ordered(a: LocalProcessModel, b: LocalProcessModel) -> tuple[LocalProcessModel, LocalProcessModel]:
-    """Canonical orientation so float results are bit-identical under swap."""
-    return (a, b) if a.fingerprint() <= b.fingerprint() else (b, a)
-
-
-def place_gain(net_a: LabeledPetriNet, p1: str, net_b: LabeledPetriNet, p2: str) -> float:
-    """Matching gain of two places: mean of preset- and postset-label overlap.
-
-    The surrounding label sets keep silent labels; a silent transition is
-    part of a place's structural context even though it is not an activity.
-    """
-    return context_gain(net_a.context(p1), net_b.context(p2))
-
-
 def context_gain(a: tuple[frozenset[str], frozenset[str]], b: tuple[frozenset[str], frozenset[str]]) -> float:
-    """``place_gain`` of two place contexts, (preset labels, postset labels)."""
+    """Matching gain of two place contexts, (preset labels, postset labels):
+    the mean of the preset- and the postset-label overlap.
+
+    The label sets keep silent labels; a silent transition is part of a
+    place's structural context even though it is not an activity.
+    """
     return 0.5 * dice(a[0], b[0]) + 0.5 * dice(a[1], b[1])
 
 
-def sim_node(a: LocalProcessModel, b: LocalProcessModel) -> float:
-    """Transition label overlap combined with an optimal place matching."""
-    a, b = _ordered(a, b)
-    labels_a = a.net.activity_labels()
-    labels_b = b.net.activity_labels()
-    denom = len(labels_a) + len(labels_b) + len(a.net.places) + len(b.net.places)
+def _node_from_places(fa: tuple, fb: tuple) -> float:
+    """Transition label overlap combined with an optimal place matching.
+
+    A feature is (fingerprint, activity labels, place contexts in sorted
+    place order). The pair is oriented by fingerprint, the first kept on a
+    tie, so the float result is bit-identical under swap.
+    """
+    (_, labels_a, places_a), (_, labels_b, places_b) = (fa, fb) if fa[0] <= fb[0] else (fb, fa)
+    denom = len(labels_a) + len(labels_b) + len(places_a) + len(places_b)
     if denom == 0:
         return 1.0
-    places_b = sorted(b.net.places)
-    g_places = optimal_assignment(
-        [[place_gain(a.net, p1, b.net, p2) for p2 in places_b] for p1 in sorted(a.net.places)]
-    ).total_gain
+    g_places = optimal_assignment([[context_gain(c1, c2) for c2 in places_b] for c1 in places_a]).total_gain
     return (2.0 * len(labels_a & labels_b) + 2.0 * g_places) / denom
 
 

@@ -1,7 +1,9 @@
 """PNML subset reader/writer for accepting labeled Petri nets.
 
 Supported elements: net / page / place / transition / arc. A transition's
-label comes from its name text; a missing or empty name means silent. The
+label comes from its name text; a missing or empty name means silent. An
+arc may carry an inscription of 1; a larger weight, or a second arc between
+the same two nodes, is refused, as the nets hold neither. The
 initial marking is read from initialMarking texts. Final markings are not
 part of core PNML: a <finalmarkings> block (as written by common process
 mining tools, possibly wrapped in <toolspecific>) is used when present,
@@ -65,6 +67,15 @@ def _marking_count(element: ET.Element, wrapper: str) -> int:
     return 0
 
 
+def _inscription(arc: ET.Element) -> str:
+    """The arc's inscription text, stripped; "1" when it has none."""
+    for child in arc:
+        if _local(child.tag) == "inscription":
+            text = _first(child, "text")
+            return "" if text is None or text.text is None else text.text.strip()
+    return "1"
+
+
 def parse_pnml(data: bytes | str) -> tuple[LabeledPetriNet, Marking, Marking]:
     """Parse one net out of a PNML document."""
     try:
@@ -79,7 +90,7 @@ def parse_pnml(data: bytes | str) -> tuple[LabeledPetriNet, Marking, Marking]:
 
     places: dict[str, int] = {}
     transitions: dict[str, str] = {}
-    arcs: list[tuple[str, str]] = []
+    arcs: dict[tuple[str, str], str | None] = {}  # (source, target) -> arc id
     for element in net.iter():
         kind = _local(element.tag)
         if kind == "place":
@@ -99,10 +110,16 @@ def parse_pnml(data: bytes | str) -> tuple[LabeledPetriNet, Marking, Marking]:
                 raise PnmlError(f"duplicate node id {tid!r} (transition)")
             transitions[tid] = _name_text(element)
         elif kind == "arc":
-            src, dst = element.get("source"), element.get("target")
+            aid, src, dst = element.get("id"), element.get("source"), element.get("target")
             if not src or not dst:
-                raise PnmlError(f"arc {element.get('id')!r} missing source/target")
-            arcs.append((src, dst))
+                raise PnmlError(f"arc {aid!r} missing source/target")
+            # the nets hold unit arcs and at most one arc per node pair
+            weight = _inscription(element)
+            if weight != "1":
+                raise PnmlError(f"arc {aid!r} has inscription {weight!r}; only unit arcs are supported")
+            if (src, dst) in arcs:
+                raise PnmlError(f"arc {aid!r} repeats arc {arcs[src, dst]!r} from {src!r} to {dst!r}")
+            arcs[src, dst] = aid
 
     final_counts: dict[str, int] = {}
     finals = _first(net, "finalmarkings")

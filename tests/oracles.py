@@ -9,6 +9,12 @@ exhaustive node-mapping minimum for the graph edit distance, complete
 linkage that recomputes every cluster-pair distance at every merge, and a
 point-by-point silhouette.
 
+``oracle_node`` is the library's former model-based ``node`` kernel: it
+orients the pair by fingerprint (``oracle_ordered``) and works every place
+gain out of the nets' presets and postsets, then takes the library's
+``optimal_assignment``, whose float order it must share to match bit for
+bit.
+
 ``enabled`` and ``fire`` are not independent: they step the library's
 compiled firing rule one ``Marking`` at a time, so tests can replay a
 sequence transition by transition.
@@ -30,7 +36,7 @@ from operator import add
 
 import numpy as np
 
-from lpmgroup import SILENT, Marking, MergeStep
+from lpmgroup import SILENT, Marking, MergeStep, optimal_assignment
 from lpmgroup.petri import _FiringRule
 
 
@@ -202,6 +208,41 @@ def _oracle_dice(x: frozenset, y: frozenset) -> float:
     return 2.0 * len(x & y) / (len(x) + len(y))
 
 
+def oracle_place_gain(net_a, p1: str, net_b, p2: str) -> float:
+    """Mean of the preset- and postset-label overlap of two places, silent labels included."""
+    return 0.5 * _oracle_dice(
+        frozenset(net_a.labels[t] for t in net_a.preset(p1)),
+        frozenset(net_b.labels[t] for t in net_b.preset(p2)),
+    ) + 0.5 * _oracle_dice(
+        frozenset(net_a.labels[t] for t in net_a.postset(p1)),
+        frozenset(net_b.labels[t] for t in net_b.postset(p2)),
+    )
+
+
+def oracle_ordered(a, b):
+    """The pair with the smaller fingerprint first, ``a`` first on a tie."""
+    return (a, b) if a.fingerprint() <= b.fingerprint() else (b, a)
+
+
+def oracle_node(a, b) -> float:
+    """Transition label overlap combined with an optimal place matching, of the oriented pair."""
+    return oracle_node_as_given(*oracle_ordered(a, b))
+
+
+def oracle_node_as_given(a, b) -> float:
+    """``oracle_node`` without the orientation: ``a``'s places are the rows of the gain matrix."""
+    labels_a = a.net.activity_labels()
+    labels_b = b.net.activity_labels()
+    denom = len(labels_a) + len(labels_b) + len(a.net.places) + len(b.net.places)
+    if denom == 0:
+        return 1.0
+    places_b = sorted(b.net.places)
+    g_places = optimal_assignment(
+        [[oracle_place_gain(a.net, p1, b.net, p2) for p2 in places_b] for p1 in sorted(a.net.places)]
+    ).total_gain
+    return (2.0 * len(labels_a & labels_b) + 2.0 * g_places) / denom
+
+
 def _oracle_node_cost(model_a, u: str, model_b, v: str) -> float:
     net_a, net_b = model_a.net, model_b.net
     u_place = u in net_a.places
@@ -210,14 +251,7 @@ def _oracle_node_cost(model_a, u: str, model_b, v: str) -> float:
         return 1.0
     if not u_place:
         return 0.0 if net_a.labels[u] == net_b.labels[v] else 1.0
-    gain = 0.5 * _oracle_dice(
-        frozenset(net_a.labels[t] for t in net_a.preset(u)),
-        frozenset(net_b.labels[t] for t in net_b.preset(v)),
-    ) + 0.5 * _oracle_dice(
-        frozenset(net_a.labels[t] for t in net_a.postset(u)),
-        frozenset(net_b.labels[t] for t in net_b.postset(v)),
-    )
-    return 1.0 - gain
+    return 1.0 - oracle_place_gain(net_a, u, net_b, v)
 
 
 def oracle_ged(model_a, model_b) -> float:

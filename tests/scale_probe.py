@@ -7,8 +7,9 @@ transitions and 6 places), ranked in that order. On each it runs, with
 - ``cluster``;
 - ``cluster --matrix`` on the matrix CSV that ``cluster`` wrote;
 - ``diversity``.
-A size given as ``ged:N`` runs ``cluster`` alone on the N-model manifest,
-with ``--measure ged --ged-budget 600``.
+A size given as ``MEASURE:N`` runs ``cluster`` alone on the N-model
+manifest, with ``--measure MEASURE``: ``ged`` at ``--ged-budget 600``,
+``efg`` and ``full`` at ``--bound 5``.
 
 Each call is a fresh ``python -m lpmgroup.cli`` reaped with ``os.wait4``,
 which gives its wall time and its peak resident memory (``ru_maxrss``).
@@ -40,7 +41,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 COMMANDS = ("cluster", "cluster_cached", "diversity")
-GED_FLAGS = ["--measure", "ged", "--ged-budget", "600"]
+# the flags of each measure's MEASURE:N size
+MEASURE_FLAGS = {"transition": [], "node": [], "efg": ["--bound", "5"], "full": ["--bound", "5"],
+                 "ged": ["--ged-budget", "600"]}
 
 
 def write_manifest(root: Path, size: int, seed: int) -> Path:
@@ -97,9 +100,10 @@ def run(src: Path, argv: list[str]) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024
 
 
-def probe(manifest: Path, src: Path, work: Path, ged: bool) -> dict[str, tuple[float, float, str]]:
-    """Each command once on ``manifest``, ``cluster`` alone under ``ged``: wall seconds, peak MB and the digest of its outputs."""
-    common = ["--manifest", str(manifest), *(GED_FLAGS if ged else ["--measure", "transition"])]
+def probe(manifest: Path, src: Path, work: Path, measure: str) -> dict[str, tuple[float, float, str]]:
+    """Each command once on ``manifest`` under ``transition``, or ``cluster`` alone under ``measure`` if one
+    is named: wall seconds, peak MB and the digest of its outputs."""
+    common = ["--manifest", str(manifest), "--measure", measure or "transition", *MEASURE_FLAGS.get(measure, [])]
     outs = {name: work / name for name in COMMANDS}
     argvs = {
         "cluster": ["cluster", *common, "--out", str(outs["cluster"])],
@@ -107,13 +111,13 @@ def probe(manifest: Path, src: Path, work: Path, ged: bool) -> dict[str, tuple[f
                            "--out", str(outs["cluster_cached"])],
         "diversity": ["diversity", *common, "--out", str(outs["diversity"])],
     }
-    return {name: (*run(src, argvs[name]), digest(outs[name])) for name in (COMMANDS[:1] if ged else COMMANDS)}
+    return {name: (*run(src, argvs[name]), digest(outs[name])) for name in (COMMANDS[:1] if measure else COMMANDS)}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", default="600,2000,ged:100",
-                        help="model counts, comma-separated; ged:N runs the ged cluster call on N models")
+                        help="model counts, comma-separated; MEASURE:N runs the cluster call alone under MEASURE on N models")
     parser.add_argument("--seed", type=int, default=7007)
     parser.add_argument("--repeat", type=int, default=1, help="calls of each command per tree and size")
     parser.add_argument("--src", action="append", default=[], metavar="LABEL=DIR",
@@ -123,21 +127,23 @@ def main(argv: list[str] | None = None) -> int:
     trees = dict(spec.split("=", 1) for spec in args.src) or {"here": str(HERE.parent / "src")}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(args.work or tmp)
-        result = {"seed": args.seed, "measure": "transition; ged:N " + " ".join(GED_FLAGS[1:]),
-                  "python": sys.version.split()[0], "sizes": {}}
+        result = {"seed": args.seed, "measure": "N: transition; MEASURE:N: cluster under MEASURE",
+                  "measure_flags": MEASURE_FLAGS, "python": sys.version.split()[0], "sizes": {}}
         for spec in args.sizes.split(","):
-            ged = spec.startswith("ged:")
-            size = int(spec[4:] if ged else spec)
+            measure, _, count = spec.rpartition(":")
+            if measure and measure not in MEASURE_FLAGS:
+                parser.error(f"unknown measure {measure!r} in size {spec!r}")
+            size = int(count)
             root = work / f"n{size}"
             root.mkdir(parents=True, exist_ok=True)
             manifest = write_manifest(root, size, args.seed)
             runs = {label: {name: {"wall_s": [], "peak_rss_mb": [], "digests": []}
-                            for name in (COMMANDS[:1] if ged else COMMANDS)} for label in trees}
+                            for name in (COMMANDS[:1] if measure else COMMANDS)} for label in trees}
             for rep in range(args.repeat):
                 labels = list(trees)[::-1] if rep % 2 else list(trees)
                 for label in labels:
-                    out = root / (f"{label}-ged" if ged else label)
-                    for name, (wall, peak, sha) in probe(manifest, Path(trees[label]), out, ged).items():
+                    out = root / (f"{label}-{measure}" if measure else label)
+                    for name, (wall, peak, sha) in probe(manifest, Path(trees[label]), out, measure).items():
                         runs[label][name]["wall_s"].append(round(wall, 3))
                         runs[label][name]["peak_rss_mb"].append(round(peak, 1))
                         runs[label][name]["digests"].append(sha)

@@ -23,9 +23,7 @@ from lpmgroup import (
     bounded_language,
     distance_matrix,
     diversity_report,
-    ged_raw,
     levenshtein,
-    normalized_levenshtein,
     optimal_assignment,
     representatives,
     silhouette,
@@ -33,6 +31,8 @@ from lpmgroup import (
     sweep,
     write_pnml,
 )
+from lpmgroup.ged import ged_raw
+from lpmgroup.measures import normalized_levenshtein
 from genmodels import matrix_of, planted_groups, random_lpm, random_matrix
 from oracles import (
     label_traces,

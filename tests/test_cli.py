@@ -92,6 +92,21 @@ class TestValidate:
         assert main(["validate", "--manifest", str(manifest)]) == 1
         assert "references unknown node 'ghost'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arc, error", [
+        ('<arc id="a1" source="t0" target="p0"><inscription><text>2</text></inscription></arc>',
+         "arc 'a1' has inscription '2'; only unit arcs are supported"),
+        ('<arc id="a1" source="t0" target="p0" /><arc id="a2" source="t0" target="p0" />',
+         "arc 'a2' repeats arc 'a1' from 't0' to 'p0'"),
+    ])
+    def test_arc_the_net_cannot_hold_exits_one(self, tmp_path, capsys, arc, error):
+        manifest = write_manifest(tmp_path, [chain_lpm("m1", ["a", "b"])])
+        pnml = tmp_path / "m1.pnml"
+        text = pnml.read_text(encoding="utf-8")
+        assert '<arc id="a1" source="t0" target="p0" />' in text
+        pnml.write_text(text.replace('<arc id="a1" source="t0" target="p0" />', arc), encoding="utf-8")
+        assert main(["validate", "--manifest", str(manifest)]) == 1
+        assert error in capsys.readouterr().err
+
     def test_first_dangling_arc_named_is_independent_of_the_hash_seed(self, tmp_path):
         manifest = write_manifest(tmp_path, [chain_lpm("m1", ["a", "b", "c"])])
         pnml = tmp_path / "m1.pnml"

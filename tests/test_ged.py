@@ -11,10 +11,9 @@ from lpmgroup import (
     LocalProcessModel,
     Marking,
     distance_matrix,
-    ged_raw,
     similarity,
 )
-from lpmgroup.ged import _GedSearch, _pair_input, ged_tables, search_key
+from lpmgroup.ged import _GedSearch, _pair_input, ged_raw, ged_tables, search_key
 from lpmgroup.measures import left_sum
 from genmodels import chain_lpm, random_lpm, relabeled, skeleton_copies
 from oracles import oracle_ged

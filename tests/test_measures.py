@@ -19,17 +19,14 @@ from lpmgroup import (
     distance_matrix,
     ef_relation,
     levenshtein,
-    normalized_levenshtein,
     optimal_assignment,
-    place_gain,
-    sim_node,
     similarity,
 )
 from lpmgroup.ged import _GedSearch, _bordered, _pair_input, ged_tables
 from lpmgroup.matrix import _quantized
-from lpmgroup.measures import _lsap
+from lpmgroup.measures import _lsap, context_gain, normalized_levenshtein
 from genmodels import chain_lpm, random_lpm, self_loop_star, xor_lpm
-from oracles import oracle_assignment, oracle_levenshtein
+from oracles import oracle_assignment, oracle_levenshtein, oracle_node, oracle_node_as_given, oracle_ordered
 
 EMPTY = Marking()
 
@@ -76,17 +73,17 @@ class TestPlaceGain:
     def test_identical_surround(self):
         a = labeled("x", ["a", "b"])
         b = labeled("y", ["a", "b"])
-        assert place_gain(a.net, "p0", b.net, "p0") == 1.0
+        assert context_gain(a.net.context("p0"), b.net.context("p0")) == 1.0
 
     def test_half_gain(self):
         a = labeled("x", ["a", "b"])
         b = labeled("y", ["a", "c"])
-        assert place_gain(a.net, "p0", b.net, "p0") == 0.5
+        assert context_gain(a.net.context("p0"), b.net.context("p0")) == 0.5
 
     def test_disjoint_surround(self):
         a = labeled("x", ["a", "b"])
         b = labeled("y", ["c", "d"])
-        assert place_gain(a.net, "p0", b.net, "p0") == 0.0
+        assert context_gain(a.net.context("p0"), b.net.context("p0")) == 0.0
 
     def test_silent_counts_in_place_surround(self):
         net = LabeledPetriNet(
@@ -96,7 +93,7 @@ class TestPlaceGain:
         silent_out = LocalProcessModel(id="s", net=net, initial=EMPTY, final=EMPTY)
         b = labeled("y", ["a", "b"])
         # presets match on {a}; postsets {SILENT} vs {b} are disjoint
-        assert place_gain(silent_out.net, "p", b.net, "p0") == 0.5
+        assert context_gain(silent_out.net.context("p"), b.net.context("p0")) == 0.5
 
 
 class TestAssignment:
@@ -245,22 +242,72 @@ class TestLevenshtein:
             assert levenshtein(x, z) <= levenshtein(x, y) + levenshtein(y, z)
 
 
+def with_places_renamed(model: LocalProcessModel, prefix: str) -> LocalProcessModel:
+    """The model with ``prefix`` put before every place id."""
+    net = model.net
+    name = {p: prefix + p for p in net.places}
+    renamed = LabeledPetriNet(name.values(), net.transitions, [(name.get(u, u), name.get(v, v)) for u, v in net.arcs],
+                              net.labels)
+    initial, final = ({name[p]: c for p, c in m.counts} for m in (model.initial, model.final))
+    return LocalProcessModel(model.id, renamed, Marking(initial), Marking(final))
+
+
 class TestNode:
     def test_identical_model(self):
         a = labeled("x", ["a", "b"])
-        assert sim_node(a, a) == 1.0
+        assert similarity("node", a, a) == 1.0
 
     def test_hand_evaluated_half(self):
         a = chain_lpm("x", ["a", "b"])
         b = chain_lpm("y", ["a", "c"])
-        assert sim_node(a, b) == 0.5
+        assert similarity("node", a, b) == 0.5
 
     def test_disjoint_no_places(self):
         na = LabeledPetriNet(places=set(), transitions={"t"}, arcs=[], labels={"t": "a"})
         nb = LabeledPetriNet(places=set(), transitions={"t"}, arcs=[], labels={"t": "b"})
         a = LocalProcessModel(id="x", net=na, initial=EMPTY, final=EMPTY)
         b = LocalProcessModel(id="y", net=nb, initial=EMPTY, final=EMPTY)
-        assert sim_node(a, b) == 0.0
+        assert similarity("node", a, b) == 0.0
+
+    @staticmethod
+    def oracle_pairs():
+        """Seeded pairs, after the edge cases: an empty net, placeless nets,
+        and equal nets whose orientation falls to their markings."""
+        empty = LocalProcessModel("e", LabeledPetriNet(set(), set(), [], {}), EMPTY, EMPTY)
+        placeless = [
+            LocalProcessModel(f"t{k}", LabeledPetriNet(set(), {"t", "u"}, [], {"t": x, "u": y}), EMPTY, EMPTY)
+            for k, (x, y) in enumerate([("a", "b"), ("b", SILENT), (SILENT, SILENT)])
+        ]
+        rng = random.Random(71)
+        pairs = [(empty, empty), (empty, placeless[0]), (placeless[2], placeless[2])]
+        pairs += [(empty, m) for m in (chain_lpm("c", ["a", "b"]), random_lpm(rng, "r"))]
+        pairs += [(a, b) for a in placeless for b in placeless if a is not b]
+        pairs += [(p, random_lpm(rng, f"q{k}")) for k, p in enumerate(placeless)]
+        for k in range(6):
+            m = random_lpm(rng, f"m{k}")
+            first, last = sorted(m.net.places)[0], sorted(m.net.places)[-1]
+            for initial, final in ((Marking([first]), EMPTY), (EMPTY, Marking([last])), (Marking([last]), m.final)):
+                pairs.append((m, LocalProcessModel(f"m{k}'", m.net, initial, final)))
+        # b's places renamed after a's on every other pair: the smaller fingerprint
+        # then has more places about half the time, and the gain matrix more rows than columns
+        for k in range(300):
+            size = (6, 12, 16)[k % 3]
+            a, b = random_lpm(rng, f"a{k}", size, size), random_lpm(rng, f"b{k}", size, size)
+            pairs.append((a, with_places_renamed(b, "q") if k % 2 else b))
+        return pairs
+
+    def test_equals_model_based_oracle_bit_for_bit(self):
+        pairs = self.oracle_pairs()
+        transposed = swap_moves_bits = 0
+        for a, b in pairs:
+            want = oracle_node(a, b).hex()
+            assert similarity("node", a, b).hex() == similarity("node", b, a).hex() == want, (a.id, b.id)
+            first, second = oracle_ordered(a, b)
+            transposed += len(first.net.places) > len(second.net.places)
+            swap_moves_bits += oracle_node_as_given(a, b) != oracle_node_as_given(b, a)
+        # the pairs catch a kernel that orients the pair otherwise, or not at all
+        assert len(pairs) >= 300 and transposed >= 50 and swap_moves_bits >= 5, (transposed, swap_moves_bits)
+        assert any(a.net == b.net and a.fingerprint() != b.fingerprint() for a, b in pairs)
 
 
 class TestEfg:

@@ -13,9 +13,9 @@ from lpmgroup import (
     bounded_language,
     ef_relation,
     eventually_follows,
-    unrestricted_transitions,
     validate_lpm,
 )
+from lpmgroup.petri import unrestricted_transitions
 from genmodels import (
     chain_lpm,
     random_lpm,

@@ -72,6 +72,27 @@ class TestParse:
         with pytest.raises(PnmlError, match="duplicate"):
             parse_pnml(doc)
 
+    def test_unit_inscription_is_accepted(self):
+        doc = TWO_TRANSITION_NET.replace(
+            '<arc id="a1" source="t1" target="p1"/>',
+            '<arc id="a1" source="t1" target="p1"><inscription><text> 1 </text></inscription></arc>',
+        )
+        assert parse_pnml(doc) == parse_pnml(TWO_TRANSITION_NET)
+
+    @pytest.mark.parametrize("text", ["<text>2</text>", "<text>0</text>", "<text>x</text>", ""])
+    def test_weighted_arc_is_refused(self, text):
+        doc = TWO_TRANSITION_NET.replace(
+            '<arc id="a2" source="p1" target="t2"/>',
+            f'<arc id="a2" source="p1" target="t2"><inscription>{text}</inscription></arc>',
+        )
+        with pytest.raises(PnmlError, match="arc 'a2' has inscription .*only unit arcs"):
+            parse_pnml(doc)
+
+    def test_repeated_arc_is_refused(self):
+        doc = TWO_TRANSITION_NET.replace("</page>", '<arc id="a3" source="t1" target="p1"/></page>')
+        with pytest.raises(PnmlError, match="arc 'a3' repeats arc 'a1' from 't1' to 'p1'"):
+            parse_pnml(doc)
+
     def test_document_without_net(self):
         with pytest.raises(PnmlError, match="net"):
             parse_pnml("<pnml></pnml>")

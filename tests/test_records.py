@@ -25,12 +25,12 @@ from lpmgroup import (
     bounded_language,
     distance_matrix,
     diversity_report,
-    ged_raw,
     optimal_assignment,
     reduction_curve,
     sweep,
     validate_lpm,
 )
+from lpmgroup.ged import ged_raw
 from lpmgroup.manifest import LoadedModels
 from lpmgroup.matrix import MEASURES
 from genmodels import chain_lpm
